@@ -234,7 +234,7 @@ func BenchmarkBaldurSimulatorSharded(b *testing.B) {
 	totalPackets := 0
 	var totalEvents, totalEpochs uint64
 	for i := 0; i < b.N; i++ {
-		p, epochs, err := exp.RunOpenLoopEpochs("baldur", "random_permutation", 0.7, sc)
+		p, epochs, _, err := exp.RunOpenLoopDetail("baldur", "random_permutation", 0.7, sc)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,8 +5,8 @@
 //
 //	benchjson                  # writes BENCH_sim.json
 //	benchjson -out -           # JSON to stdout
-//	benchjson -check BENCH_sim.json   # also diff against a committed
-//	                                  # baseline; exit 1 on regression
+//	benchjson -check BENCH_sim.json   # also check every gate; exit 1
+//	                                  # naming the gates that failed
 package main
 
 import (
@@ -16,6 +16,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"baldur/internal/check"
@@ -27,7 +28,6 @@ import (
 	"baldur/internal/prof"
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
-	"baldur/internal/traffic"
 	"baldur/internal/workload"
 )
 
@@ -47,72 +47,94 @@ type report struct {
 	Benchmarks []result `json:"benchmarks"`
 }
 
-// checkedBenchmarks are the engine microbenchmarks gated in CI: pure
-// event-kernel hot loops whose timings are stable enough for a hard
-// threshold. The experiment-level entries (fig6, full simulator runs) vary
-// too much across runner generations to gate automatically.
-var checkedBenchmarks = map[string]bool{
-	"engine_schedule_dispatch_closure": true,
-	"engine_schedule_dispatch_typed":   true,
-	"telemetry_overhead":               true,
+// gateKind is how a gate judges its metric.
+type gateKind string
+
+const (
+	// relative fails when the fresh value exceeds the committed baseline's
+	// by more than bound (a fraction). Needs a usable baseline entry.
+	relative gateKind = "relative"
+	// ceiling fails when the fresh value exceeds bound. Absolute: no
+	// baseline needed.
+	ceiling gateKind = "ceiling"
+	// floor fails when the fresh value falls below bound. Absolute.
+	floor gateKind = "floor"
+)
+
+// gate is one -check rule: benchmark entry, the metric it reads (ns_per_op
+// or an extra), how it judges it, and the bound.
+type gate struct {
+	entry  string
+	metric string
+	kind   gateKind
+	bound  float64
+	// unit labels the metric in the check report.
+	unit string
+	// platform marks a metric some platforms cannot measure: a value <= 0
+	// there is a WARN, not a verdict.
+	platform bool
 }
 
-// checkTolerance is the allowed ns/op growth over the committed baseline
-// before -check fails.
-const checkTolerance = 0.15
+func (g gate) String() string {
+	if g.kind == relative {
+		return fmt.Sprintf("%s %s relative +%.0f%%", g.entry, g.metric, g.bound*100)
+	}
+	return fmt.Sprintf("%s %s %s %g", g.entry, g.metric, g.kind, g.bound)
+}
 
-// twinSpeedupFloor is the minimum wall-clock speedup the analytical twin
-// must hold over the packet engine on the twin_speedup sweep. Unlike the
-// ns/op gates this is an absolute floor on the fresh run, not a
-// baseline-relative tolerance: the twin's whole reason to exist is the
-// orders-of-magnitude ratio, so the gate pins the claim itself.
-const twinSpeedupFloor = 100.0
-
-// datacenterBytesPerNodeCeil is the absolute ceiling on peak resident
-// bytes per simulated node for the scale_datacenter entry (128K-node runs).
-// Measured ~4.3 KB/node with the SoA state layout; the ceiling leaves
-// headroom for allocator and runner variance while still catching a return
-// to pointer-heavy per-node state (which measured several times higher).
-// Like twinSpeedupFloor this gates the fresh run absolutely, because the
-// claim itself — bounded memory per node — is what the entry exists to pin.
-const datacenterBytesPerNodeCeil = 8192.0
-
-// faultsExtraAllocsCeil is the absolute ceiling on extra allocations per run
-// for driving a fault-free cell through faults.Run versus the plain
-// netsim.Run loop (the faults_overhead entry's extra_allocs_op metric). The
-// disabled path's whole budget is the one Controller allocation per run plus
-// slack for runtime-internal allocations landing inside the measurement
-// window; an allocation creeping into the per-arrival fault guards would
-// show up as hundreds per op (the cell injects 192 packets) and trip the
-// gate.
-const faultsExtraAllocsCeil = 8.0
-
-// traceExtraAllocsCeil is the absolute ceiling on extra allocations per run
-// for the lifecycle tracer (the trace_overhead entry's extra_allocs_op
-// metric): a telemetry-attached cell tracing 1 in 2 packets versus the same
-// cell with span capture off. Spans land in the preallocated flight-recorder
-// rings, so even the enabled path must allocate nothing per span — which
-// bounds the disabled path (one predictable branch per lifecycle site) a
-// fortiori. The slack covers runtime-internal allocations landing inside the
-// measurement window; a real leak in the per-packet trace sites would show
-// up as hundreds per op.
-const traceExtraAllocsCeil = 8.0
-
-// workloadExtraAllocsCeil is the absolute ceiling on extra allocations per
-// run inside the event loop for an open-loop cell whose network has a service
-// workload driver attached but carries no flow traffic (the
-// workload_overhead entry's extra_allocs_op metric). Non-flow packets return
-// from the workload's delivery hook after a single Flow == 0 branch — the
-// same nil-probe discipline as the telemetry and fault layers — so the
-// differential must be zero up to runtime-internal allocations landing inside
-// the measurement window. A real allocation creeping into the delivery probe
-// would scale with the cell's packet count (hundreds per op) and trip the
-// gate.
-const workloadExtraAllocsCeil = 8.0
+// gates are every rule -check enforces; benchmarks without a row are never
+// gated.
+var gates = []gate{
+	// The engine microbenchmarks are pure event-kernel hot loops whose
+	// timings are stable enough for a hard 15% ns/op threshold over the
+	// committed baseline. The experiment-level entries (fig6, full
+	// simulator runs) vary too much across runner generations to gate.
+	{entry: "engine_schedule_dispatch_closure", metric: "ns_per_op", kind: relative, bound: 0.15, unit: "ns/op"},
+	{entry: "engine_schedule_dispatch_typed", metric: "ns_per_op", kind: relative, bound: 0.15, unit: "ns/op"},
+	{entry: "telemetry_overhead", metric: "ns_per_op", kind: relative, bound: 0.15, unit: "ns/op"},
+	// The lifecycle tracer's extra allocations per run: a telemetry-attached
+	// cell tracing 1 in 2 packets versus the same cell with span capture
+	// off. Spans land in the preallocated flight-recorder rings, so even the
+	// enabled path must allocate nothing per span — which bounds the
+	// disabled path (one predictable branch per lifecycle site) a fortiori.
+	// The slack covers runtime-internal allocations landing inside the
+	// measurement window; a real leak in the per-packet trace sites would
+	// show up as hundreds per op.
+	{entry: "trace_overhead", metric: "extra_allocs_op", kind: ceiling, bound: 8, unit: "extra allocs/op"},
+	// Extra allocations per run for driving a fault-free cell through
+	// netsim.Drive with an empty fault script versus the plain netsim.Run
+	// loop. The disabled path's whole budget is the one Controller
+	// allocation per run plus slack for runtime-internal allocations
+	// landing inside the measurement window; an allocation creeping into the
+	// per-arrival fault guards would show up as hundreds per op (the cell
+	// injects 192 packets).
+	{entry: "faults_overhead", metric: "extra_allocs_op", kind: ceiling, bound: 8, unit: "extra allocs/op"},
+	// Extra allocations per run inside the event loop for an open-loop cell
+	// whose network has a service workload driver attached but carries no
+	// flow traffic. Non-flow packets return from the workload's delivery
+	// hook after a single Flow == 0 branch — the same nil-probe discipline
+	// as the telemetry and fault layers — so the differential must be zero
+	// up to runtime-internal allocations landing inside the measurement
+	// window. A real allocation creeping into the delivery probe would scale
+	// with the cell's packet count (hundreds per op).
+	{entry: "workload_overhead", metric: "extra_allocs_op", kind: ceiling, bound: 8, unit: "extra allocs/op"},
+	// The analytical twin's wall-clock speedup over the packet engine on the
+	// twin_speedup sweep. Absolute on the fresh run, not baseline-relative:
+	// the twin's whole reason to exist is the orders-of-magnitude ratio, so
+	// the gate pins the claim itself.
+	{entry: "twin_speedup", metric: "speedup_x", kind: floor, bound: 100, unit: "x speedup"},
+	// Peak resident bytes per simulated node for the 128K-node runs.
+	// Measured ~4.3 KB/node with the SoA state layout; the ceiling leaves
+	// headroom for allocator and runner variance while still catching a
+	// return to pointer-heavy per-node state (which measured several times
+	// higher). Absolute, because bounded memory per node is the claim the
+	// entry exists to pin.
+	{entry: "scale_datacenter", metric: "bytes_per_node", kind: ceiling, bound: 8192, unit: "B/node", platform: true},
+}
 
 func main() {
 	out := flag.String("out", "BENCH_sim.json", "output file ('-' for stdout)")
-	check := flag.String("check", "", "baseline JSON to diff against; exits 1 if an engine microbenchmark regresses by >15% ns/op")
+	check := flag.String("check", "", "baseline JSON to diff against; exits 1 naming each failed gate ("+gateList(gates)+")")
 	flag.Parse()
 
 	benchmarks := []struct {
@@ -173,8 +195,17 @@ func main() {
 	}
 }
 
+// gateList joins gates for messages.
+func gateList(gs []gate) string {
+	names := make([]string, len(gs))
+	for i, g := range gs {
+		names[i] = g.String()
+	}
+	return strings.Join(names, "; ")
+}
+
 // checkAgainst compares the fresh measurements against a committed baseline
-// and reports whether every gated benchmark stayed within tolerance.
+// and reports whether every gate held, naming the ones that failed.
 func checkAgainst(path string, fresh report) bool {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -184,101 +215,87 @@ func checkAgainst(path string, fresh report) bool {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		fatal(fmt.Errorf("parsing baseline %s: %w", path, err))
 	}
-	ok := compare(base, fresh, os.Stderr)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "benchjson: engine microbenchmark regressed by more than %.0f%% vs %s\n",
-			checkTolerance*100, path)
+	failed := compare(base, fresh, os.Stderr)
+	if len(failed) > 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: %d gate(s) failed vs %s: %s\n", len(failed), path, gateList(failed))
 	}
-	return ok
+	return len(failed) == 0
 }
 
-// compare diffs the gated benchmarks of a fresh report against a baseline
-// and reports whether every one present on both sides stayed within
-// tolerance. Mismatched sets never crash and never fail the gate silently:
-// a gated benchmark missing from the baseline (the PR that introduces it) is
-// an explicit SKIP, an unusable baseline entry (ns/op <= 0) is a WARN, and a
-// gated baseline entry the run no longer produces (renamed or deleted
-// benchmark: the stale baseline should be regenerated) is a WARN.
-func compare(base, fresh report, w io.Writer) bool {
+// metricOf reads a gate's metric from a result: ns_per_op or an extra.
+func metricOf(r result, metric string) float64 {
+	if metric == "ns_per_op" {
+		return r.NsPerOp
+	}
+	return r.Extra[metric]
+}
+
+// compare checks every gate against a fresh report (and, for relative
+// gates, the baseline), writes one line per judged gate to w, and returns
+// the gates that failed. Mismatched sets never crash and never fail a gate
+// silently: a relative gate's entry missing from the baseline (the PR that
+// introduces it) is an explicit SKIP, an unusable baseline value (<= 0) is
+// a WARN, and a relative gate's baseline entry the run no longer produces
+// (renamed or deleted benchmark: the stale baseline should be regenerated)
+// is a WARN.
+func compare(base, fresh report, w io.Writer) (failed []gate) {
 	baseline := make(map[string]result, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
 		baseline[r.Name] = r
 	}
-	ok := true
 	produced := make(map[string]bool, len(fresh.Benchmarks))
 	for _, r := range fresh.Benchmarks {
 		produced[r.Name] = true
-		if r.Name == "scale_datacenter" {
-			bpn := r.Extra["bytes_per_node"]
-			if bpn <= 0 {
-				fmt.Fprintf(w, "check %-36s WARN: peak RSS unavailable on this platform; not gated\n", r.Name)
+		for _, g := range gates {
+			if g.entry != r.Name {
 				continue
 			}
-			verdict := "ok"
-			if bpn > datacenterBytesPerNodeCeil {
-				verdict = "REGRESSION"
-				ok = false
+			v := metricOf(r, g.metric)
+			var held bool
+			switch g.kind {
+			case relative:
+				b, found := baseline[r.Name]
+				bv := metricOf(b, g.metric)
+				switch {
+				case !found:
+					fmt.Fprintf(w, "check %-36s SKIP: not in baseline (new benchmark? regenerate the baseline to gate it)\n", r.Name)
+					continue
+				case bv <= 0:
+					fmt.Fprintf(w, "check %-36s WARN: baseline %s = %g is unusable; not gated\n", r.Name, g.metric, bv)
+					continue
+				}
+				held = v/bv <= 1+g.bound
+				fmt.Fprintf(w, "check %-36s %8.1f -> %8.1f %s (%+.1f%%, relative +%.0f%%) %s\n",
+					r.Name, bv, v, g.unit, (v/bv-1)*100, g.bound*100, verdict(held))
+			case ceiling, floor:
+				if g.platform && v <= 0 {
+					fmt.Fprintf(w, "check %-36s WARN: %s unavailable on this platform; not gated\n", r.Name, g.metric)
+					continue
+				}
+				held = v <= g.bound
+				if g.kind == floor {
+					held = v >= g.bound
+				}
+				fmt.Fprintf(w, "check %-36s %8.1f %s (%s %g) %s\n", r.Name, v, g.unit, g.kind, g.bound, verdict(held))
 			}
-			fmt.Fprintf(w, "check %-36s %8.0f B/node (ceiling %.0f) %s\n",
-				r.Name, bpn, datacenterBytesPerNodeCeil, verdict)
-			continue
-		}
-		if r.Name == "faults_overhead" || r.Name == "trace_overhead" || r.Name == "workload_overhead" {
-			ceil := faultsExtraAllocsCeil
-			switch r.Name {
-			case "trace_overhead":
-				ceil = traceExtraAllocsCeil
-			case "workload_overhead":
-				ceil = workloadExtraAllocsCeil
+			if !held {
+				failed = append(failed, g)
 			}
-			extra := r.Extra["extra_allocs_op"]
-			verdict := "ok"
-			if extra > ceil {
-				verdict = "REGRESSION"
-				ok = false
-			}
-			fmt.Fprintf(w, "check %-36s %8.1f extra allocs/op (ceiling %.0f) %s\n",
-				r.Name, extra, ceil, verdict)
-			continue
-		}
-		if r.Name == "twin_speedup" {
-			sx := r.Extra["speedup_x"]
-			verdict := "ok"
-			if sx < twinSpeedupFloor {
-				verdict = "REGRESSION"
-				ok = false
-			}
-			fmt.Fprintf(w, "check %-36s %8.0fx speedup (floor %.0fx) %s\n",
-				r.Name, sx, twinSpeedupFloor, verdict)
-			continue
-		}
-		if !checkedBenchmarks[r.Name] {
-			continue
-		}
-		b, found := baseline[r.Name]
-		switch {
-		case !found:
-			fmt.Fprintf(w, "check %-36s SKIP: not in baseline (new benchmark? regenerate the baseline to gate it)\n", r.Name)
-			continue
-		case b.NsPerOp <= 0:
-			fmt.Fprintf(w, "check %-36s WARN: baseline ns/op = %g is unusable; not gated\n", r.Name, b.NsPerOp)
-			continue
-		}
-		ratio := r.NsPerOp / b.NsPerOp
-		verdict := "ok"
-		if ratio > 1+checkTolerance {
-			verdict = "REGRESSION"
-			ok = false
-		}
-		fmt.Fprintf(w, "check %-36s %8.1f -> %8.1f ns/op (%+.1f%%) %s\n",
-			r.Name, b.NsPerOp, r.NsPerOp, (ratio-1)*100, verdict)
-	}
-	for _, b := range base.Benchmarks {
-		if checkedBenchmarks[b.Name] && !produced[b.Name] {
-			fmt.Fprintf(w, "check %-36s WARN: in baseline but not produced by this run; baseline is stale\n", b.Name)
 		}
 	}
-	return ok
+	for _, g := range gates {
+		if _, inBase := baseline[g.entry]; g.kind == relative && inBase && !produced[g.entry] {
+			fmt.Fprintf(w, "check %-36s WARN: in baseline but not produced by this run; baseline is stale\n", g.entry)
+		}
+	}
+	return failed
+}
+
+func verdict(held bool) string {
+	if held {
+		return "ok"
+	}
+	return "REGRESSION"
 }
 
 // benchEngineClosure mirrors BenchmarkEngineScheduleDispatch in
@@ -378,7 +395,7 @@ func benchBaldurSimulatorSharded(b *testing.B) {
 	totalPackets := 0
 	var totalEvents, totalEpochs uint64
 	for i := 0; i < b.N; i++ {
-		p, epochs, err := exp.RunOpenLoopEpochs("baldur", "random_permutation", 0.7, sc)
+		p, epochs, _, err := exp.RunOpenLoopDetail("baldur", "random_permutation", 0.7, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -403,7 +420,7 @@ func benchTelemetryOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Fresh Options per run: the harness treats them as per-run state.
 		sc.Telemetry = &telemetry.Options{}
-		_, tel, err := exp.RunOpenLoopTelemetry("baldur", "random_permutation", 0.7, sc)
+		_, _, tel, err := exp.RunOpenLoopDetail("baldur", "random_permutation", 0.7, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -417,13 +434,22 @@ func benchTelemetryOverhead(b *testing.B) {
 }
 
 // benchTraceOverhead prices the packet-lifecycle tracer the way
+// overheadCfg is the small open-loop baldur cell (192 packets) the
+// disabled-path overhead entries drive to overheadDeadline.
+var overheadCfg = check.FuzzConfig{
+	Net: "baldur", NodesExp: 4, LoadPct: 70, PacketsPerNode: 12,
+	FaultStage: -1, Seed: 1,
+}.Canon()
+
+const overheadDeadline = sim.Time(500 * sim.Microsecond)
+
 // benchFaultsOverhead prices the fault layer: the same telemetry-attached
 // baldur cell runs b.N times with span capture off and b.N times tracing
 // 1 in 2 packets, and the allocation difference per run is reported as
 // extra_allocs_op. Both sides preallocate identical flight-recorder rings,
 // so the differential isolates the per-packet trace sites; spans are written
 // in place into the rings and must not allocate even when sampled. -check
-// gates extra_allocs_op against the absolute traceExtraAllocsCeil (no
+// gates extra_allocs_op against its absolute ceiling in gates (no
 // baseline needed), pinning the acceptance claim that a trace-capable build
 // costs untraced runs nothing on the allocation side.
 func benchTraceOverhead(b *testing.B) {
@@ -433,7 +459,7 @@ func benchTraceOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sc := benchScale()
 			sc.Telemetry = &telemetry.Options{FlightRecords: 1 << 17, TraceSample: every}
-			if _, _, err := exp.RunOpenLoopTelemetry("baldur", "random_permutation", 0.7, sc); err != nil {
+			if _, _, _, err := exp.RunOpenLoopDetail("baldur", "random_permutation", 0.7, sc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -448,44 +474,33 @@ func benchTraceOverhead(b *testing.B) {
 
 // benchFaultsOverhead prices the fault-injection layer's disabled path: the
 // same open-loop baldur cell runs b.N times through the plain netsim.Run
-// loop and b.N times through faults.Run with an empty script, and the
+// loop and b.N times through netsim.Drive with an empty fault script, and the
 // allocation difference per run is reported as extra_allocs_op. The ns/op of
 // this entry covers both phases and is not gated; -check gates
-// extra_allocs_op against the absolute faultsExtraAllocsCeil, pinning the
+// extra_allocs_op against its absolute ceiling in gates, pinning the
 // claim that a fault-capable build costs scripted-free runs nothing on the
 // allocation side.
 func benchFaultsOverhead(b *testing.B) {
-	cfg := check.FuzzConfig{
-		Net: "baldur", NodesExp: 4, LoadPct: 70, PacketsPerNode: 12,
-		FaultStage: -1, Seed: 1,
-	}.Canon()
-	deadline := sim.Time(0).Add(500 * sim.Microsecond)
 	measure := func(drive func(net netsim.Network)) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < b.N; i++ {
-			net, _, err := harness.Build(cfg, 1)
+			net, _, err := harness.Build(overheadCfg, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
 			var col netsim.Collector
 			col.Attach(net)
-			ol := traffic.OpenLoop{
-				Pattern:        traffic.RandomPermutation(net.NumNodes(), cfg.Seed+10),
-				Load:           float64(cfg.LoadPct) / 100,
-				PacketsPerNode: cfg.PacketsPerNode,
-				Seed:           cfg.Seed + 100,
-			}
-			ol.Start(net)
+			harness.StartOpenLoop(overheadCfg, net)
 			drive(net)
 		}
 		runtime.ReadMemStats(&after)
 		return float64(after.Mallocs-before.Mallocs) / float64(b.N)
 	}
-	plain := measure(func(net netsim.Network) { netsim.Run(net, deadline) })
+	plain := measure(func(net netsim.Network) { netsim.Run(net, overheadDeadline) })
 	scripted := measure(func(net netsim.Network) {
 		ctrl := faults.NewController(faults.Script{})
-		if _, err := faults.Run(net, ctrl, faults.RunOptions{Deadline: deadline}); err != nil {
+		if _, err := netsim.Drive(net, overheadDeadline, netsim.DriveOptions{Script: ctrl}); err != nil {
 			b.Fatal(err)
 		}
 	})
@@ -504,13 +519,8 @@ func benchFaultsOverhead(b *testing.B) {
 // is excluded — so the differential isolates the per-delivery nil probe:
 // every OpenLoop packet traverses the workload's delivery hook and must
 // return after the one Flow == 0 branch without allocating. -check gates
-// extra_allocs_op against the absolute workloadExtraAllocsCeil.
+// extra_allocs_op against its absolute ceiling in gates.
 func benchWorkloadOverhead(b *testing.B) {
-	cfg := check.FuzzConfig{
-		Net: "baldur", NodesExp: 4, LoadPct: 70, PacketsPerNode: 12,
-		FaultStage: -1, Seed: 1,
-	}.Canon()
-	deadline := sim.Time(0).Add(500 * sim.Microsecond)
 	idle := workload.Spec{
 		Name:       "idle",
 		Seed:       1,
@@ -526,7 +536,7 @@ func benchWorkloadOverhead(b *testing.B) {
 		var total uint64
 		var before, after runtime.MemStats
 		for i := 0; i < b.N; i++ {
-			net, _, err := harness.Build(cfg, 1)
+			net, _, err := harness.Build(overheadCfg, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -541,15 +551,9 @@ func benchWorkloadOverhead(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			ol := traffic.OpenLoop{
-				Pattern:        traffic.RandomPermutation(net.NumNodes(), cfg.Seed+10),
-				Load:           float64(cfg.LoadPct) / 100,
-				PacketsPerNode: cfg.PacketsPerNode,
-				Seed:           cfg.Seed + 100,
-			}
-			ol.Start(net)
+			harness.StartOpenLoop(overheadCfg, net)
 			runtime.ReadMemStats(&before)
-			netsim.Run(net, deadline)
+			netsim.Run(net, overheadDeadline)
 			runtime.ReadMemStats(&after)
 			total += after.Mallocs - before.Mallocs
 		}
@@ -598,7 +602,7 @@ func benchTwinSpeedup(b *testing.B) {
 // both complete. bytes_per_node divides that peak by the Baldur node count
 // (the larger denominator of the two would flatter the number; the preset's
 // nominal scale is the honest one). -check gates bytes_per_node against the
-// absolute datacenterBytesPerNodeCeil rather than a baseline ratio.
+// absolute ceiling in gates rather than a baseline ratio.
 func benchScaleDatacenter(b *testing.B) {
 	sc := exp.Datacenter
 	var baldurEvents, fattreeEvents uint64

@@ -63,7 +63,7 @@ func (v Violation) String() string {
 
 // Auditor collects invariant checks for one run. Construct with New, hand to
 // the network's AttachAudit before the run starts, then drive the run with
-// netsim.RunChecked (or call Checkpoint manually at barriers) and inspect
+// netsim.Drive (or call Checkpoint manually at barriers) and inspect
 // Err/Violations at the end.
 //
 // An Auditor is not safe for concurrent use; Checkpoint must only run at

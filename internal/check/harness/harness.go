@@ -135,6 +135,19 @@ func Build(cfg check.FuzzConfig, shards int) (netsim.Network, func() Fingerprint
 	return nil, nil, fmt.Errorf("harness: unknown network %q", cfg.Net)
 }
 
+// StartOpenLoop starts cfg's canonical traffic on net: a random permutation
+// under open-loop Poisson injection at cfg's load. Fuzz runs, campaign
+// cells and the overhead benchmarks all drive this one source.
+func StartOpenLoop(cfg check.FuzzConfig, net netsim.Network) {
+	ol := traffic.OpenLoop{
+		Pattern:        traffic.RandomPermutation(net.NumNodes(), cfg.Seed+10),
+		Load:           float64(cfg.LoadPct) / 100,
+		PacketsPerNode: cfg.PacketsPerNode,
+		Seed:           cfg.Seed + 100,
+	}
+	ol.Start(net)
+}
+
 // Run executes cfg once with the given shard count. With audit set it
 // attaches a check.Auditor (whose SkewInjected is set to skew — non-zero
 // seeds a deliberate conservation bug, the auditor's self-test) and drives
@@ -148,20 +161,17 @@ func Run(cfg check.FuzzConfig, shards int, audit bool, skew uint64) (Result, err
 	}
 	var col netsim.Collector
 	col.Attach(net)
-	ol := traffic.OpenLoop{
-		Pattern:        traffic.RandomPermutation(net.NumNodes(), cfg.Seed+10),
-		Load:           float64(cfg.LoadPct) / 100,
-		PacketsPerNode: cfg.PacketsPerNode,
-		Seed:           cfg.Seed + 100,
-	}
-	ol.Start(net)
+	StartOpenLoop(cfg, net)
 	var aud *check.Auditor
 	if audit {
 		aud = check.New(check.Options{})
 		aud.SkewInjected = skew
 		net.(netsim.Audited).AttachAudit(aud)
 	}
-	more := netsim.RunChecked(net, sim.Time(0).Add(Horizon), nil, aud)
+	more, err := netsim.Drive(net, sim.Time(0).Add(Horizon), netsim.DriveOptions{Aud: aud})
+	if err != nil {
+		return Result{}, err
+	}
 	fp := read()
 	fp.CollectorDelivered = col.Delivered()
 	fp.Samples = col.Samples()

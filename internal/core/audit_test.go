@@ -52,7 +52,7 @@ func TestAuditCleanOnRetxPath(t *testing.T) {
 			src := src
 			n.ScheduleNode(src, 0, eventFunc(func() { n.Send(src, 15-src, 0) }))
 		}
-		netsim.RunChecked(n, sim.Time(100*sim.Microsecond), nil, aud)
+		netsim.Drive(n, sim.Time(100*sim.Microsecond), netsim.DriveOptions{Aud: aud})
 		if err := aud.Err(); err != nil {
 			t.Errorf("K=%d: %v", k, err)
 		}
@@ -74,7 +74,7 @@ func TestAuditCatchesRetxLeak(t *testing.T) {
 	n.AttachAudit(aud)
 	n.Send(0, 9, 0)
 	n.Engine().At(sim.Time(50*sim.Nanosecond), func() { n.nics[3].retxBytes += 7 })
-	netsim.RunChecked(n, sim.Time(100*sim.Microsecond), nil, aud)
+	netsim.Drive(n, sim.Time(100*sim.Microsecond), netsim.DriveOptions{Aud: aud})
 	vs := aud.Violations()
 	if len(vs) == 0 {
 		t.Fatal("corrupted retxBytes went undetected")

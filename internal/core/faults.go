@@ -103,7 +103,7 @@ func (n *Network) SetDegrade(p float64) error {
 }
 
 // ApplyFault implements faults.Target. It must only be called at barrier
-// boundaries (faults.Run's slice boundaries are).
+// boundaries (netsim.Drive's slice boundaries are).
 func (n *Network) ApplyFault(ev faults.Event) error {
 	switch ev.Action {
 	case faults.KillSwitch:

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"baldur/internal/check"
+	"baldur/internal/telemetry"
 )
 
 // TestRunOpenLoopAudited drives every auditable network through the harness
 // with the invariant-audit layer armed, serial and sharded: zero violations,
-// and the measured Point must be identical to an unaudited run (auditing
-// verifies, never perturbs).
+// and the measured Point — and the latency profile of the same cell — must
+// be identical to an unaudited run (auditing verifies, never perturbs).
 func TestRunOpenLoopAudited(t *testing.T) {
 	sc := Quick
 	sc.PacketsPerNode = 20
@@ -17,6 +18,10 @@ func TestRunOpenLoopAudited(t *testing.T) {
 		base, err := RunOpenLoop(network, "random_permutation", 0.5, sc)
 		if err != nil {
 			t.Fatalf("%s unaudited: %v", network, err)
+		}
+		baseProf, err := Profile(network, "random_permutation", 0.5, sc)
+		if err != nil {
+			t.Fatalf("%s unaudited profile: %v", network, err)
 		}
 		for _, shards := range []int{1, 4} {
 			asc := sc
@@ -29,6 +34,14 @@ func TestRunOpenLoopAudited(t *testing.T) {
 			}
 			if p != base {
 				t.Errorf("%s K=%d: audited point %+v != unaudited %+v", network, shards, p, base)
+			}
+			prof, err := Profile(network, "random_permutation", 0.5, asc)
+			if err != nil {
+				t.Errorf("%s K=%d audited profile: %v", network, shards, err)
+				continue
+			}
+			if prof != baseProf {
+				t.Errorf("%s K=%d: audited profile %+v != unaudited %+v", network, shards, prof, baseProf)
 			}
 		}
 	}
@@ -57,5 +70,51 @@ func TestRunPingPongAudited(t *testing.T) {
 	}
 	if !p.Finished {
 		t.Error("audited ping-pong run did not finish")
+	}
+}
+
+// TestSpanAuditArmedOnPingPongAndWorkload checks that traced, audited
+// ping-pong and workload cells get the in-run span audit every other
+// packet-level cell has: each run finishes clean with traced deliveries
+// witnessed.
+func TestSpanAuditArmedOnPingPongAndWorkload(t *testing.T) {
+	var witnessed []int
+	onSpanAudit = func(a *check.SpanAudit) { witnessed = append(witnessed, a.Witnessed()) }
+	defer func() { onSpanAudit = nil }()
+	tel := func() *telemetry.Options {
+		return &telemetry.Options{FlightRecords: 1 << 17, TraceSample: 2}
+	}
+
+	sc := Quick
+	sc.PacketsPerNode = 5
+	sc.Shards = 2
+	sc.Audit = &check.Options{}
+	sc.Telemetry = tel()
+	p, err := RunPingPong("baldur", "ping_pong1", sc)
+	if err != nil {
+		t.Fatalf("ping-pong: %v", err)
+	}
+	if !p.Finished {
+		t.Error("traced, audited ping-pong run did not finish")
+	}
+
+	wsc := testWorkloadScale(2)
+	wsc.Audit = &check.Options{}
+	wsc.Telemetry = tel()
+	rep, err := RunWorkload("baldur", testWorkloadSpec(), wsc)
+	if err != nil {
+		t.Fatalf("workload: %v", err)
+	}
+	if !rep.Finished {
+		t.Error("traced, audited workload run did not finish")
+	}
+
+	if len(witnessed) != 2 {
+		t.Fatalf("span audit armed on %d of 2 cells", len(witnessed))
+	}
+	for i, n := range witnessed {
+		if n == 0 {
+			t.Errorf("cell %d: span audit witnessed no traced deliveries", i)
+		}
 	}
 }

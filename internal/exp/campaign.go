@@ -13,7 +13,6 @@ import (
 	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
-	"baldur/internal/traffic"
 	"baldur/internal/workload"
 )
 
@@ -206,22 +205,28 @@ func runCampaignCell(spec CampaignSpec, netName string, nodesExp, loadPct, shard
 	if err != nil {
 		return res, err
 	}
-	var tel *telemetry.Telemetry
+	c := cellSpec{
+		label:    res.id(),
+		deadline: sim.Time(0).Add(sim.Microseconds(spec.HorizonUS)),
+		// Violations land in the cell's row; CampaignReport.Err fails the
+		// campaign on them once every cell has reported.
+		keepViolations: true,
+	}
 	if spec.TraceDir != "" || spec.TraceSample > 0 {
 		fr := spec.FlightRecords
 		if fr == 0 {
 			fr = 1 << 17
 		}
-		tel = telemetry.New(telemetry.Options{
-			FlightRecords: fr,
-			TraceSample:   spec.TraceSample,
-			Label:         res.id(),
-		}, netsim.NumShards(net))
-		net.(netsim.Instrumented).AttachTelemetry(tel)
+		c.tel = &telemetry.Options{FlightRecords: fr, TraceSample: spec.TraceSample}
 	}
-	var col netsim.Collector
-	col.Attach(net)
-	if spec.Workload != nil {
+	if spec.Audit {
+		c.aud = &check.Options{}
+	}
+	start := func(net netsim.Network) error {
+		if spec.Workload == nil {
+			harness.StartOpenLoop(cfg, net)
+			return nil
+		}
 		ws := *spec.Workload
 		if ws.Seed == 0 {
 			ws.Seed = 1
@@ -229,39 +234,18 @@ func runCampaignCell(spec CampaignSpec, netName string, nodesExp, loadPct, shard
 		ws.Seed += seed
 		drv, err := workload.New(ws)
 		if err != nil {
-			return res, err
+			return err
 		}
-		if err := drv.Attach(net); err != nil {
-			return res, err
-		}
-	} else {
-		ol := traffic.OpenLoop{
-			Pattern:        traffic.RandomPermutation(net.NumNodes(), cfg.Seed+10),
-			Load:           float64(cfg.LoadPct) / 100,
-			PacketsPerNode: cfg.PacketsPerNode,
-			Seed:           cfg.Seed + 100,
-		}
-		ol.Start(net)
-	}
-	var aud *check.Auditor
-	if spec.Audit {
-		aud = check.New(check.Options{})
-		net.(netsim.Audited).AttachAudit(aud)
-	}
-	var spanAud *check.SpanAudit
-	if aud != nil && tel != nil && tel.TraceEvery() > 0 {
-		spanAud = netsim.AttachSpanAudit(net)
+		return drv.Attach(net)
 	}
 	ctrl := faults.NewController(compiled)
 	var regions []telemetry.Region
 	var prevDelivered uint64
 	var prevAt sim.Time
 	inWindow := false
-	more, err := faults.Run(net, ctrl, faults.RunOptions{
-		Deadline: sim.Time(0).Add(sim.Microseconds(spec.HorizonUS)),
+	c.drive = netsim.DriveOptions{
 		Interval: sim.Microseconds(spec.SliceUS),
-		Tel:      tel,
-		Aud:      aud,
+		Script:   ctrl,
 		Observe: func(at sim.Time, drained bool) {
 			fp := read()
 			outstanding := int64(fp.Injected) - int64(fp.Delivered) - int64(fp.GaveUp) - int64(fp.Dropped)
@@ -279,13 +263,12 @@ func runCampaignCell(spec CampaignSpec, netName string, nodesExp, loadPct, shard
 			}
 			prevDelivered, prevAt = fp.Delivered, at
 		},
-	})
+	}
+	run, err := runCell(net, nil, start, c)
 	if err != nil {
 		return res, err
 	}
-	if spanAud != nil {
-		spanAud.VerifyInto(aud, tel.Rec.Records(), tel.Rec.Overwritten() > 0)
-	}
+	tel, aud := run.tel, run.aud
 	if tel != nil && spec.TraceDir != "" {
 		if err := writeCellTrace(spec.TraceDir, &res, tel, regions); err != nil {
 			return res, err
@@ -303,11 +286,11 @@ func runCampaignCell(spec CampaignSpec, netName string, nodesExp, loadPct, shard
 	if fp.Injected > 0 {
 		res.DeliveredFrac = float64(fp.Delivered) / float64(fp.Injected)
 	}
-	res.TailNS = col.TailNS()
+	res.TailNS = run.col.TailNS()
 	res.TailInflation = 1
 	res.RetxAmp = 1
 	res.FaultEvents = ctrl.Applied()
-	res.Finished = !more
+	res.Finished = !run.more
 	if aud != nil {
 		res.Checkpoints = aud.Checkpoints()
 		res.Violations = aud.Violations()

@@ -228,66 +228,6 @@ func build(name string, sc Scale) (*instance, error) {
 
 func zeroStats() (uint64, uint64) { return 0, 0 }
 
-// attachTelemetry builds and attaches a telemetry layer for net when the
-// scale requests one and the network supports instrumentation (the ideal
-// network does not). cell names the run for watch lines and per-cell paths.
-func attachTelemetry(net netsim.Network, sc Scale, cell string) *telemetry.Telemetry {
-	if sc.Telemetry == nil {
-		return nil
-	}
-	in, ok := net.(netsim.Instrumented)
-	if !ok {
-		return nil
-	}
-	opts := *sc.Telemetry
-	if opts.Label == "" {
-		opts.Label = cell
-	}
-	tel := telemetry.New(opts, netsim.NumShards(net))
-	in.AttachTelemetry(tel)
-	return tel
-}
-
-// attachAudit builds and attaches an invariant auditor for net when the
-// scale requests one and the network supports auditing (the ideal network
-// does not).
-func attachAudit(net netsim.Network, sc Scale) *check.Auditor {
-	if sc.Audit == nil {
-		return nil
-	}
-	au, ok := net.(netsim.Audited)
-	if !ok {
-		return nil
-	}
-	aud := check.New(*sc.Audit)
-	au.AttachAudit(aud)
-	return aud
-}
-
-// auditErr wraps an auditor's verdict with the cell it came from.
-func auditErr(aud *check.Auditor, network, pattern string) error {
-	if aud == nil {
-		return nil
-	}
-	if err := aud.Err(); err != nil {
-		return fmt.Errorf("exp: %s/%s: %w", network, pattern, err)
-	}
-	return nil
-}
-
-// writeTelemetry exports a cell's telemetry, tagging output paths when the
-// scale runs many cells.
-func writeTelemetry(tel *telemetry.Telemetry, sc Scale, cell string) error {
-	if tel == nil {
-		return nil
-	}
-	tag := ""
-	if sc.TelemetryPerCell {
-		tag = cell
-	}
-	return tel.WriteOutputs(tag)
-}
-
 // patternFor generates a named traffic pattern sized for the given network.
 func patternFor(pattern string, nodes int, sc Scale) (*traffic.Pattern, error) {
 	// Dragonfly group size at this scale (for group_permutation and
@@ -336,12 +276,45 @@ type Point struct {
 
 // runOpenLoopCell measures one (network, pattern, load) cell into col,
 // whose sample and histogram allocations are reused across calls (series
-// runners sweep five loads through one collector).
+// runners sweep five loads through one collector). The network is nil
+// under the twin tier.
 func runOpenLoopCell(col *netsim.Collector, network, pattern string, load float64, sc Scale) (Point, netsim.Network, *telemetry.Telemetry, error) {
 	if sc.Fidelity == netsim.FidelityTwin {
 		p, err := twinOpenLoopCell(network, pattern, load, sc)
 		return p, nil, nil, err
 	}
+	return openLoopCell(col, "", network, pattern, load, sc)
+}
+
+// openLoopCell runs one packet-level open-loop cell; prefix tags its
+// telemetry label, so runners that repeat a Fig 6 cell export apart.
+func openLoopCell(col *netsim.Collector, prefix, network, pattern string, load float64, sc Scale) (Point, netsim.Network, *telemetry.Telemetry, error) {
+	p, net, tel, err := patternCell(col, network, pattern, sc,
+		func() string { return fmt.Sprintf("%s%s-%s-%g", prefix, network, pattern, load) },
+		func(pat *traffic.Pattern) func(netsim.Network) {
+			ol := &traffic.OpenLoop{
+				Pattern:        pat,
+				Load:           load,
+				PacketsPerNode: sc.PacketsPerNode,
+				Seed:           sc.Seed + 100,
+			}
+			return ol.Start
+		})
+	if err != nil {
+		return Point{}, nil, nil, err
+	}
+	p.Load = load
+	if last := col.LastDelivery(); last > 0 {
+		p.ThroughputPPS = float64(col.Delivered()) / sim.Duration(last).Seconds()
+	}
+	return p, net, tel, nil
+}
+
+// patternCell runs one packet-level cell of a named traffic pattern and
+// exports its telemetry. source turns the pattern into the traffic
+// source's start; label names the cell's telemetry and is only called when
+// telemetry is on, keeping its Sprintf off the disabled path.
+func patternCell(col *netsim.Collector, network, pattern string, sc Scale, label func() string, source func(*traffic.Pattern) func(netsim.Network)) (Point, netsim.Network, *telemetry.Telemetry, error) {
 	inst, err := build(network, sc)
 	if err != nil {
 		return Point{}, nil, nil, err
@@ -350,54 +323,29 @@ func runOpenLoopCell(col *netsim.Collector, network, pattern string, load float6
 	if err != nil {
 		return Point{}, nil, nil, err
 	}
-	var cell string
-	var tel *telemetry.Telemetry
+	var name string
 	if sc.Telemetry != nil {
-		// Only name the cell when telemetry wants it: the Sprintf would be
-		// the sole allocation on the disabled path.
-		cell = fmt.Sprintf("%s-%s-%g", network, pattern, load)
-		tel = attachTelemetry(inst.net, sc, cell)
+		name = label()
 	}
-	col.Warmup = sim.Time(sc.Warmup)
-	col.Attach(inst.net)
-	ol := traffic.OpenLoop{
-		Pattern:        pat,
-		Load:           load,
-		PacketsPerNode: sc.PacketsPerNode,
-		Seed:           sc.Seed + 100,
+	start := source(pat)
+	run, err := runCell(inst.net, col, func(n netsim.Network) error { start(n); return nil }, sc.cell(network, pattern, name))
+	if err == nil {
+		err = writeTelemetry(run.tel, sc, name)
 	}
-	ol.Start(inst.net)
-	aud := attachAudit(inst.net, sc)
-	var spans *check.SpanAudit
-	if aud != nil && tel != nil && tel.TraceEvery() > 0 {
-		spans = netsim.AttachSpanAudit(inst.net)
-	}
-	more := netsim.RunChecked(inst.net, sc.maxSim(), tel, aud)
-	if spans != nil {
-		spans.VerifyInto(aud, tel.Rec.Records(), tel.Rec.Overwritten() > 0)
-	}
-	if err := auditErr(aud, network, pattern); err != nil {
+	if err != nil {
 		return Point{}, nil, nil, err
 	}
-	drops, attempts := inst.stats()
 	p := Point{
 		Network:  network,
-		Load:     load,
-		AvgNS:    col.AvgNS(),
-		TailNS:   col.TailNS(),
-		Finished: !more,
+		AvgNS:    run.col.AvgNS(),
+		TailNS:   run.col.TailNS(),
+		Finished: !run.more,
 		Events:   netsim.Events(inst.net),
 	}
-	if last := col.LastDelivery(); last > 0 {
-		p.ThroughputPPS = float64(col.Delivered()) / sim.Duration(last).Seconds()
-	}
-	if attempts > 0 {
+	if drops, attempts := inst.stats(); attempts > 0 {
 		p.DropRate = float64(drops) / float64(attempts)
 	}
-	if err := writeTelemetry(tel, sc, cell); err != nil {
-		return Point{}, nil, nil, err
-	}
-	return p, inst.net, tel, nil
+	return p, inst.net, run.tel, nil
 }
 
 // twinOpenLoopCell answers one open-loop cell from the analytical tier:
@@ -438,34 +386,24 @@ func twinOpenLoopCell(network, pattern string, load float64, sc Scale) (Point, e
 
 // RunOpenLoop measures one (network, pattern, load) cell.
 func RunOpenLoop(network, pattern string, load float64, sc Scale) (Point, error) {
-	var col netsim.Collector
-	p, _, _, err := runOpenLoopCell(&col, network, pattern, load, sc)
+	p, _, _, err := RunOpenLoopDetail(network, pattern, load, sc)
 	return p, err
 }
 
-// RunOpenLoopEpochs is RunOpenLoop plus the number of lockstep
-// synchronization epochs the sharded engine executed (0 for serial runs).
-// Epochs depend on the shard count, so they are reported beside the Point
-// rather than inside it, which stays bit-identical across shard counts.
-func RunOpenLoopEpochs(network, pattern string, load float64, sc Scale) (Point, uint64, error) {
+// RunOpenLoopDetail is RunOpenLoop plus the run's side outputs: the number
+// of lockstep synchronization epochs the sharded engine executed (0 for
+// serial and twin-tier runs) and the cell's telemetry layer (nil when
+// sc.Telemetry is nil or the network is uninstrumented) — the sampled
+// series, flight records and registry totals. Epochs depend on the shard
+// count, so they are reported beside the Point rather than inside it, which
+// stays bit-identical across shard counts.
+func RunOpenLoopDetail(network, pattern string, load float64, sc Scale) (Point, uint64, *telemetry.Telemetry, error) {
 	var col netsim.Collector
-	p, net, _, err := runOpenLoopCell(&col, network, pattern, load, sc)
-	if err != nil {
-		return Point{}, 0, err
+	p, net, tel, err := runOpenLoopCell(&col, network, pattern, load, sc)
+	if err != nil || net == nil {
+		return p, 0, tel, err
 	}
-	if net == nil { // twin tier: no engine, no epochs
-		return p, 0, nil
-	}
-	return p, netsim.Epochs(net), nil
-}
-
-// RunOpenLoopTelemetry is RunOpenLoop with the cell's telemetry layer (nil
-// when sc.Telemetry is nil or the network is uninstrumented) returned for
-// inspection — the sampled series, flight records and registry totals.
-func RunOpenLoopTelemetry(network, pattern string, load float64, sc Scale) (Point, *telemetry.Telemetry, error) {
-	var col netsim.Collector
-	p, _, tel, err := runOpenLoopCell(&col, network, pattern, load, sc)
-	return p, tel, err
+	return p, netsim.Epochs(net), tel, nil
 }
 
 // RunPingPong measures a closed-loop ping-pong workload on one network.
@@ -475,39 +413,13 @@ func RunPingPong(network, pattern string, sc Scale) (Point, error) {
 	if sc.Fidelity == netsim.FidelityTwin {
 		return Point{}, fmt.Errorf("exp: ping-pong cells are packet-only (fidelity %q)", sc.Fidelity)
 	}
-	inst, err := build(network, sc)
-	if err != nil {
-		return Point{}, err
-	}
-	pat, err := patternFor(pattern, inst.net.NumNodes(), sc)
-	if err != nil {
-		return Point{}, err
-	}
-	var cell string
-	var tel *telemetry.Telemetry
-	if sc.Telemetry != nil {
-		cell = fmt.Sprintf("%s-%s", network, pattern)
-		tel = attachTelemetry(inst.net, sc, cell)
-	}
-	var col netsim.Collector
-	col.Warmup = sim.Time(sc.Warmup)
-	col.Attach(inst.net)
-	pp := traffic.PingPong{Pattern: pat, Rounds: sc.PacketsPerNode}
-	pp.Start(inst.net)
-	aud := attachAudit(inst.net, sc)
-	more := netsim.RunChecked(inst.net, sc.maxSim(), tel, aud)
-	if err := auditErr(aud, network, pattern); err != nil {
-		return Point{}, err
-	}
-	drops, attempts := inst.stats()
-	p := Point{Network: network, AvgNS: col.AvgNS(), TailNS: col.TailNS(), Finished: !more, Events: netsim.Events(inst.net)}
-	if attempts > 0 {
-		p.DropRate = float64(drops) / float64(attempts)
-	}
-	if err := writeTelemetry(tel, sc, cell); err != nil {
-		return Point{}, err
-	}
-	return p, nil
+	p, _, _, err := patternCell(nil, network, pattern, sc,
+		func() string { return fmt.Sprintf("%s-%s", network, pattern) },
+		func(pat *traffic.Pattern) func(netsim.Network) {
+			pp := &traffic.PingPong{Pattern: pat, Rounds: sc.PacketsPerNode}
+			return pp.Start
+		})
+	return p, err
 }
 
 // renderTable renders rows as a fixed-width text table.

@@ -252,32 +252,40 @@ func RunTrace(network, workload string, sc Scale) (Point, error) {
 	if w == nil {
 		return Point{}, fmt.Errorf("unknown workload %q", workload)
 	}
-	var cell string
-	var tel *telemetry.Telemetry
+	var label string
 	if sc.Telemetry != nil {
-		cell = fmt.Sprintf("%s-%s", network, workload)
-		tel = attachTelemetry(inst.net, sc, cell)
+		label = fmt.Sprintf("%s-%s", network, workload)
 	}
-	var col netsim.Collector
-	col.Attach(inst.net)
-	rep, err := trace.NewReplayer(inst.net, w)
+	// The replayer keeps its own watchdog driver in place of netsim.Drive.
+	// It has no audit checkpoints and measures every packet, so the cell
+	// runs unaudited and without warmup.
+	c := sc.cell(network, workload, label)
+	c.aud, c.warmup = nil, 0
+	var rep *trace.Replayer
+	c.run = func(tel *telemetry.Telemetry) (bool, error) {
+		rep.Watchdog = sc.Watchdog
+		rep.Tel = tel
+		st := rep.Run()
+		if st.Stuck != nil {
+			fmt.Fprintln(os.Stderr, st.Stuck.String())
+		}
+		return !st.Completed, nil
+	}
+	run, err := runCell(inst.net, nil, func(n netsim.Network) (err error) {
+		rep, err = trace.NewReplayer(n, w)
+		return err
+	}, c)
 	if err != nil {
 		return Point{}, err
 	}
-	rep.Watchdog = sc.Watchdog
-	rep.Tel = tel
-	st := rep.Run()
-	if st.Stuck != nil {
-		fmt.Fprintln(os.Stderr, st.Stuck.String())
-	}
-	if err := writeTelemetry(tel, sc, cell); err != nil {
+	if err := writeTelemetry(run.tel, sc, label); err != nil {
 		return Point{}, err
 	}
 	return Point{
 		Network:  network,
-		AvgNS:    col.AvgNS(),
-		TailNS:   col.TailNS(),
-		Finished: st.Completed,
+		AvgNS:    run.col.AvgNS(),
+		TailNS:   run.col.TailNS(),
+		Finished: !run.more,
 	}, nil
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"baldur/internal/netsim"
-	"baldur/internal/sim"
-	"baldur/internal/traffic"
 )
 
 // LatencyProfile is the full latency distribution of one (network, pattern,
@@ -23,27 +21,15 @@ type LatencyProfile struct {
 	Samples int64
 }
 
-// Profile measures the latency distribution for one cell.
+// Profile measures the latency distribution for one cell. Like every
+// packet-level cell it honours sc.Audit and sc.Telemetry; its telemetry
+// label carries a "profile-" prefix so it never overwrites the Fig 6 cell
+// of the same name.
 func Profile(network, pattern string, load float64, sc Scale) (LatencyProfile, error) {
-	inst, err := build(network, sc)
-	if err != nil {
-		return LatencyProfile{}, err
-	}
-	pat, err := patternFor(pattern, inst.net.NumNodes(), sc)
-	if err != nil {
-		return LatencyProfile{}, err
-	}
 	var col netsim.Collector
-	col.Warmup = sim.Time(sc.Warmup)
-	col.Attach(inst.net)
-	ol := traffic.OpenLoop{
-		Pattern:        pat,
-		Load:           load,
-		PacketsPerNode: sc.PacketsPerNode,
-		Seed:           sc.Seed + 100,
+	if _, _, _, err := openLoopCell(&col, "profile-", network, pattern, load, sc); err != nil {
+		return LatencyProfile{}, err
 	}
-	ol.Start(inst.net)
-	netsim.Run(inst.net, sc.maxSim())
 	h := col.Merged()
 	return LatencyProfile{
 		Network: network,

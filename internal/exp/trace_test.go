@@ -151,10 +151,10 @@ func TestTraceAuditUnderFaultsWithRetransmissions(t *testing.T) {
 	}
 	ol.Start(net)
 	ctrl := faults.NewController(script)
-	if _, err := faults.Run(net, ctrl, faults.RunOptions{
-		Deadline: sim.Time(0).Add(sim.Microseconds(500)),
-		Tel:      tel,
-		Aud:      aud,
+	if _, err := netsim.Drive(net, sim.Time(0).Add(sim.Microseconds(500)), netsim.DriveOptions{
+		Tel:    tel,
+		Aud:    aud,
+		Script: ctrl,
 	}); err != nil {
 		t.Fatal(err)
 	}

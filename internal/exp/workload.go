@@ -7,8 +7,6 @@ import (
 	"baldur/internal/core"
 	"baldur/internal/elecnet"
 	"baldur/internal/netsim"
-	"baldur/internal/sim"
-	"baldur/internal/telemetry"
 	"baldur/internal/workload"
 
 	// The built-in policy plugins register themselves by name; linking them
@@ -78,36 +76,28 @@ func RunWorkload(network string, spec workload.Spec, sc Scale) (*SLOReport, erro
 	if err != nil {
 		return nil, err
 	}
-	var cell string
-	var tel *telemetry.Telemetry
+	name := drv.Spec().Name
+	var label string
 	if sc.Telemetry != nil {
-		cell = fmt.Sprintf("%s-workload-%s", network, drv.Spec().Name)
-		tel = attachTelemetry(inst.net, sc, cell)
+		label = fmt.Sprintf("%s-workload-%s", network, name)
 	}
-	var col netsim.Collector
-	col.Warmup = sim.Time(sc.Warmup)
-	col.Attach(inst.net)
-	if err := drv.Attach(inst.net); err != nil {
-		return nil, err
-	}
-	aud := attachAudit(inst.net, sc)
-	more := netsim.RunChecked(inst.net, sc.maxSim(), tel, aud)
-	if err := auditErr(aud, network, "workload:"+drv.Spec().Name); err != nil {
+	run, err := runCell(inst.net, nil, drv.Attach, sc.cell(network, "workload:"+name, label))
+	if err != nil {
 		return nil, err
 	}
 	arrived, admitted, rejected, apkts := drv.Totals()
 	rep := &SLOReport{
 		Network:         network,
-		Workload:        drv.Spec().Name,
+		Workload:        name,
 		Tenants:         drv.TenantSLOs(),
 		Arrived:         arrived,
 		Admitted:        admitted,
 		Rejected:        rejected,
 		AdmittedPackets: apkts,
 		Injected:        injectedOf(inst.net),
-		Delivered:       col.Delivered(),
+		Delivered:       run.col.Delivered(),
 		IncompleteFlows: drv.IncompleteFlows(),
-		Finished:        !more,
+		Finished:        !run.more,
 		Events:          netsim.Events(inst.net),
 	}
 	if arrived != admitted+rejected {
@@ -120,7 +110,7 @@ func RunWorkload(network string, spec workload.Spec, sc Scale) (*SLOReport, erro
 		return nil, fmt.Errorf("exp: %s workload %q: conservation mismatch: network injected %d packets, driver admitted %d",
 			network, rep.Workload, rep.Injected, apkts)
 	}
-	if err := writeTelemetry(tel, sc, cell); err != nil {
+	if err := writeTelemetry(run.tel, sc, label); err != nil {
 		return nil, err
 	}
 	return rep, nil

@@ -6,9 +6,10 @@
 // not depend on the shard count, a scripted run's statistics stay
 // bit-identical for any K, faults active or not (DESIGN.md §11).
 //
-// The package defines the script model and the barrier-sliced driver; the
-// networks implement Target (core.Network for the optical fabric, the shared
-// elecnet router engine for the electrical baselines).
+// The package defines the script model and the Controller that netsim.Drive
+// applies at its slice boundaries; the networks implement Target
+// (core.Network for the optical fabric, the shared elecnet router engine
+// for the electrical baselines).
 package faults
 
 import (

@@ -123,72 +123,116 @@ type Instrumented interface {
 // layer. AttachAudit registers the network's conservation ledgers and pool
 // censuses as checkpoint callbacks on a and arms the per-shard audit
 // counters; it must be called before the run starts, at most once per
-// network instance. Runs driven by RunChecked then evaluate every ledger at
-// each slice barrier and once more when the run drains or hits the deadline.
+// network instance. Runs driven by Drive with the auditor set then evaluate
+// every ledger at each slice barrier and once more when the run drains or
+// hits the deadline.
 type Audited interface {
 	Network
 	AttachAudit(a *check.Auditor)
 }
 
-// RunChecked drives n to the deadline like RunSampled and additionally runs
-// an audit checkpoint at every slice boundary plus a final one at the
-// drained/deadline barrier. With a nil aud it is exactly RunSampled (and
-// with both nil, exactly Run). When both telemetry and auditor are attached
-// the telemetry interval drives the slicing, so audit checkpoints land on
-// sample barriers and the telemetry-vs-stats cross-checks see matched
-// snapshots. Returns true if events remain queued.
-func RunChecked(n Network, deadline sim.Time, tel *telemetry.Telemetry, aud *check.Auditor) bool {
-	if aud == nil {
-		return RunSampled(n, deadline, tel)
-	}
-	iv := aud.Interval()
-	if tel != nil {
-		iv = tel.Interval()
-	}
-	for t := n.Engine().Now().Add(iv); t < deadline; t = t.Add(iv) {
-		more := Run(n, t)
-		if tel != nil {
-			tel.Sample(t, Events(n), Epochs(n))
-		}
-		aud.Checkpoint(t, !more)
-		if !more {
-			return false
-		}
-	}
-	more := Run(n, deadline)
-	if tel != nil {
-		tel.Sample(deadline, Events(n), Epochs(n))
-	}
-	aud.Checkpoint(deadline, !more)
-	return more
+// Script is a timeline of actions applied to a network at run barriers — a
+// fault script (*faults.Controller implements it). Drive slices the run at
+// each pending action time so the action lands on a full barrier.
+type Script interface {
+	// NextAt returns the time of the next unapplied action.
+	NextAt() (sim.Time, bool)
+	// Pending reports whether unapplied actions remain.
+	Pending() bool
+	// ApplyDue applies every action due at or before now and returns how
+	// many it applied. It runs only at barriers.
+	ApplyDue(n Network, now sim.Time, tel *telemetry.Telemetry) (int, error)
 }
 
-// RunSampled drives n to the deadline in telemetry-interval slices, taking
-// one metric sample at each interval boundary and a final one at the
-// deadline. Every slice boundary is a full barrier of the sharded engine,
-// so sampling composes with parallel execution without perturbing event
-// order — the sampled series is bit-identical for any shard count. With a
-// nil tel it is equivalent to Run. Returns true if events remain queued.
-func RunSampled(n Network, deadline sim.Time, tel *telemetry.Telemetry) bool {
-	if tel == nil {
-		return Run(n, deadline)
+// DriveOptions are the boundary hooks of Drive. The zero value has none.
+type DriveOptions struct {
+	// Interval is the slice width between barriers (0: the telemetry
+	// sample interval if Tel is set, else the audit interval if Aud is
+	// set, else check.DefaultInterval).
+	Interval sim.Duration
+	// Tel, when non-nil, takes one metric sample at every boundary.
+	Tel *telemetry.Telemetry
+	// Aud, when non-nil, runs an audit checkpoint at every boundary.
+	Aud *check.Auditor
+	// Script, when non-nil, forces a boundary at each of its action times
+	// and applies due actions after the boundary's hooks ran.
+	Script Script
+	// Observe, when non-nil, is called at every boundary after the network
+	// ran to it (and before the boundary's due script actions apply).
+	Observe func(at sim.Time, drained bool)
+}
+
+// Drive runs n to the deadline and reports whether events remain queued.
+// With no hooks set it is exactly Run(n, deadline). Otherwise it runs in
+// slices: each boundary lies one interval past the previous one (the first
+// past the current time), pulled in to the script's next action time when
+// that comes sooner, and clamped to the deadline. At each boundary it
+// samples telemetry, checkpoints the auditor, calls Observe and applies the
+// script's due actions, in that order. Every boundary is a full barrier of
+// the sharded engine at a time that does not depend on the shard count, so
+// hooked runs stay bit-identical for any K. A run that drains with no
+// script actions left stops at that boundary: every remaining slice would
+// be an all-zero row (horizons are typically thousands of intervals long).
+func Drive(n Network, deadline sim.Time, opts DriveOptions) (more bool, err error) {
+	if opts.Tel == nil && opts.Aud == nil && opts.Script == nil && opts.Observe == nil {
+		return Run(n, deadline), nil
 	}
-	iv := tel.Interval()
-	for t := n.Engine().Now().Add(iv); t < deadline; t = t.Add(iv) {
-		more := Run(n, t)
-		tel.Sample(t, Events(n), Epochs(n))
-		if !more {
-			// Drained before the safety horizon: every remaining interval
-			// would be an all-zero row (and horizons are typically many
-			// thousands of intervals long). Whether events remain is
-			// invariant to the shard count, so stopping here keeps the
-			// series identical for any K.
-			return false
+	iv := opts.Interval
+	if iv == 0 {
+		switch {
+		case opts.Tel != nil:
+			iv = opts.Tel.Interval()
+		case opts.Aud != nil:
+			iv = opts.Aud.Interval()
+		default:
+			iv = check.DefaultInterval
 		}
 	}
-	more := Run(n, deadline)
-	tel.Sample(deadline, Events(n), Epochs(n))
-	return more
+	now := n.Engine().Now()
+	applied := 0
+	// Actions due at or before the start apply before anything runs.
+	if opts.Script != nil {
+		if _, err := opts.Script.ApplyDue(n, now, opts.Tel); err != nil {
+			return true, err
+		}
+	}
+	for {
+		t := now.Add(iv)
+		if opts.Script != nil {
+			if at, ok := opts.Script.NextAt(); ok && at < t {
+				t = at
+				if t <= now {
+					t = now.Add(sim.Picosecond)
+				}
+			}
+		}
+		if t > deadline {
+			t = deadline
+		}
+		more = Run(n, t)
+		if opts.Tel != nil {
+			opts.Tel.Sample(t, Events(n), Epochs(n))
+		}
+		drained := !more && (opts.Script == nil || !opts.Script.Pending())
+		if opts.Aud != nil {
+			opts.Aud.Checkpoint(t, drained)
+		}
+		if opts.Observe != nil {
+			opts.Observe(t, drained)
+		}
+		if opts.Script != nil {
+			if applied, err = opts.Script.ApplyDue(n, t, opts.Tel); err != nil {
+				return more, err
+			}
+		}
+		if t >= deadline {
+			return more, nil
+		}
+		if drained && applied == 0 {
+			return false, nil
+		}
+		now = t
+	}
 }
 
 // Run drives n to the deadline: the sharded fast path when available,
