@@ -21,6 +21,7 @@ import (
 	"baldur/internal/prof"
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
+	"baldur/internal/twin"
 	workloadpkg "baldur/internal/workload"
 )
 
@@ -127,7 +128,14 @@ func main() {
 	fmt.Printf("drop rate:    %10.3f %%\n", p.DropRate*100)
 	fmt.Printf("events:       %10d\n", p.Events)
 	if peak := prof.PeakRSSBytes(); peak > 0 {
-		n := simulatedNodes(*network, sc)
+		// The denominator is the node count of the network actually built:
+		// topology constraints make it differ slightly per network at one
+		// Scale (fat-tree k=80 hosts 128,000 while Baldur runs 131,072).
+		n, err := twin.NumNodes(*network, twin.Config{Nodes: sc.Nodes, DragonflyP: sc.DragonflyP, FatTreeK: sc.FatTreeK})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "baldursim:", err)
+			os.Exit(1)
+		}
 		bpn := float64(peak) / float64(n)
 		fmt.Printf("peak rss:     %10.1f MiB  (%.0f B across %d nodes = %.0f B/node)\n",
 			float64(peak)/(1<<20), float64(peak), n, bpn)
@@ -169,19 +177,4 @@ func runServiceWorkload(network, specPath string, sc exp.Scale) {
 	if !rep.Finished {
 		fmt.Println("warning: run hit the virtual-time safety horizon before draining")
 	}
-}
-
-// simulatedNodes returns the node count of the network actually built —
-// the denominator of the bytes-per-node report. Topology constraints mean
-// the per-network counts differ slightly at the same Scale (e.g. fat-tree
-// k=80 hosts 128,000 while Baldur runs 131,072).
-func simulatedNodes(network string, sc exp.Scale) int {
-	switch network {
-	case "fattree":
-		return sc.FatTreeK * sc.FatTreeK * sc.FatTreeK / 4
-	case "dragonfly":
-		p := sc.DragonflyP
-		return 2 * p * p * (2*p*p + 1)
-	}
-	return sc.Nodes
 }

@@ -433,7 +433,6 @@ func benchTelemetryOverhead(b *testing.B) {
 	b.ReportMetric(float64(totalRecords)/float64(b.N), "records/run")
 }
 
-// benchTraceOverhead prices the packet-lifecycle tracer the way
 // overheadCfg is the small open-loop baldur cell (192 packets) the
 // disabled-path overhead entries drive to overheadDeadline.
 var overheadCfg = check.FuzzConfig{
@@ -441,17 +440,19 @@ var overheadCfg = check.FuzzConfig{
 	FaultStage: -1, Seed: 1,
 }.Canon()
 
+// overheadDeadline is the virtual-time horizon the overheadCfg runs are
+// driven to.
 const overheadDeadline = sim.Time(500 * sim.Microsecond)
 
-// benchFaultsOverhead prices the fault layer: the same telemetry-attached
-// baldur cell runs b.N times with span capture off and b.N times tracing
-// 1 in 2 packets, and the allocation difference per run is reported as
-// extra_allocs_op. Both sides preallocate identical flight-recorder rings,
-// so the differential isolates the per-packet trace sites; spans are written
-// in place into the rings and must not allocate even when sampled. -check
-// gates extra_allocs_op against its absolute ceiling in gates (no
-// baseline needed), pinning the acceptance claim that a trace-capable build
-// costs untraced runs nothing on the allocation side.
+// benchTraceOverhead prices the packet-lifecycle tracer: the same
+// telemetry-attached baldur cell runs b.N times with span capture off and
+// b.N times tracing 1 in 2 packets, and the allocation difference per run
+// is reported as extra_allocs_op. Both sides preallocate identical
+// flight-recorder rings, so the differential isolates the per-packet trace
+// sites; spans are written in place into the rings and must not allocate
+// even when sampled. -check gates extra_allocs_op against its absolute
+// ceiling in gates (no baseline needed), pinning the acceptance claim that
+// a trace-capable build costs untraced runs nothing on the allocation side.
 func benchTraceOverhead(b *testing.B) {
 	measure := func(every int) float64 {
 		var before, after runtime.MemStats

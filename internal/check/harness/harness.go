@@ -29,21 +29,11 @@ const Horizon = 500 * sim.Microsecond
 
 // Fingerprint is the comparable digest of one run: every stat the
 // differential asserts is invariant across shard counts and audit
-// attachment. Float fields are exact (the simulator is deterministic), so
+// attachment: the network's packet ledger plus the collector's view of the
+// same run. Float fields are exact (the simulator is deterministic), so
 // struct equality is the comparison.
 type Fingerprint struct {
-	Injected        uint64
-	Delivered       uint64
-	Duplicates      uint64
-	DataAttempts    uint64
-	DataDrops       uint64
-	AckAttempts     uint64
-	AckDrops        uint64
-	Retransmissions uint64
-	GaveUp          uint64
-	FaultDrops      uint64
-	Dropped         uint64
-	MaxHops         int
+	netsim.Counters
 
 	CollectorDelivered uint64
 	Samples            int64
@@ -61,10 +51,18 @@ type Result struct {
 }
 
 // Build constructs the configured network with the given shard count and
-// returns it plus a stats reader. The campaign runner (internal/exp) reuses
-// it so scenario cells exercise the exact networks the fuzz differential
-// covers.
+// returns it plus a reader of its packet ledger. The campaign runner
+// (internal/exp) reuses it so scenario cells exercise the exact networks the
+// fuzz differential covers.
 func Build(cfg check.FuzzConfig, shards int) (netsim.Network, func() Fingerprint, error) {
+	net, err := build(cfg, shards)
+	if err != nil {
+		return nil, nil, err
+	}
+	return net, func() Fingerprint { return Fingerprint{Counters: net.Counters()} }, nil
+}
+
+func build(cfg check.FuzzConfig, shards int) (netsim.Network, error) {
 	switch cfg.Net {
 	case "baldur":
 		n, err := core.New(core.Config{
@@ -80,59 +78,27 @@ func Build(cfg check.FuzzConfig, shards int) (netsim.Network, func() Fingerprint
 			Shards:            shards,
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if cfg.FaultStage >= 0 {
 			if err := n.InjectFault(core.FaultSpec{Stage: cfg.FaultStage, Switch: int32(cfg.FaultSwitch)}); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
-		return n, func() Fingerprint {
-			st := &n.Stats
-			return Fingerprint{
-				Injected:        st.Injected,
-				Delivered:       st.Delivered,
-				Duplicates:      st.Duplicates,
-				DataAttempts:    st.DataAttempts,
-				DataDrops:       st.DataDrops,
-				AckAttempts:     st.AckAttempts,
-				AckDrops:        st.AckDrops,
-				Retransmissions: st.Retransmissions,
-				GaveUp:          st.GaveUp,
-				FaultDrops:      st.FaultDrops,
-			}
-		}, nil
+		return n, nil
 	case "multibutterfly":
-		n, err := elecnet.NewMultiButterfly(elecnet.MBConfig{
+		return elecnet.NewMultiButterfly(elecnet.MBConfig{
 			Nodes:        1 << cfg.NodesExp,
 			Multiplicity: cfg.Multiplicity,
 			Seed:         cfg.Seed,
 			Shards:       shards,
 		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return n, func() Fingerprint {
-			return Fingerprint{Injected: n.Injected, Delivered: n.Delivered, Dropped: n.Dropped, MaxHops: n.MaxHops}
-		}, nil
 	case "dragonfly":
-		n, err := elecnet.NewDragonfly(elecnet.DragonflyConfig{P: 2, Seed: cfg.Seed, Shards: shards})
-		if err != nil {
-			return nil, nil, err
-		}
-		return n, func() Fingerprint {
-			return Fingerprint{Injected: n.Injected, Delivered: n.Delivered, Dropped: n.Dropped, MaxHops: n.MaxHops}
-		}, nil
+		return elecnet.NewDragonfly(elecnet.DragonflyConfig{P: 2, Seed: cfg.Seed, Shards: shards})
 	case "fattree":
-		n, err := elecnet.NewFatTree(elecnet.FatTreeConfig{K: 4, Shards: shards})
-		if err != nil {
-			return nil, nil, err
-		}
-		return n, func() Fingerprint {
-			return Fingerprint{Injected: n.Injected, Delivered: n.Delivered, Dropped: n.Dropped, MaxHops: n.MaxHops}
-		}, nil
+		return elecnet.NewFatTree(elecnet.FatTreeConfig{K: 4, Shards: shards})
 	}
-	return nil, nil, fmt.Errorf("harness: unknown network %q", cfg.Net)
+	return nil, fmt.Errorf("harness: unknown network %q", cfg.Net)
 }
 
 // StartOpenLoop starts cfg's canonical traffic on net: a random permutation

@@ -63,6 +63,24 @@ func (n *Network) ScheduleNode(node int, t sim.Time, ev sim.Event) {
 	c.eng.ScheduleKey(t, c.act.Next(), ev)
 }
 
+// Counters returns the packet ledger folded into n.Stats by the last Run
+// (netsim.Network).
+func (n *Network) Counters() netsim.Counters {
+	st := &n.Stats
+	return netsim.Counters{
+		Injected:        st.Injected,
+		Delivered:       st.Delivered,
+		Duplicates:      st.Duplicates,
+		DataAttempts:    st.DataAttempts,
+		DataDrops:       st.DataDrops,
+		AckAttempts:     st.AckAttempts,
+		AckDrops:        st.AckDrops,
+		Retransmissions: st.Retransmissions,
+		GaveUp:          st.GaveUp,
+		FaultDrops:      st.FaultDrops,
+	}
+}
+
 // SyncStats folds per-shard and per-NIC statistics into n.Stats. It is
 // idempotent and invoked by Run; tests that drive the engine directly call
 // it before reading order-sensitive aggregates (AckLatency). All merges run

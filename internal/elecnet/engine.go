@@ -532,6 +532,12 @@ func (n *engine) ScheduleNode(node int, t sim.Time, ev sim.Event) {
 	nic.eng.ScheduleKey(t, nic.act.Next(), ev)
 }
 
+// Counters returns the aggregate ledger as of the last Run
+// (netsim.Network).
+func (n *engine) Counters() netsim.Counters {
+	return netsim.Counters{Injected: n.Injected, Delivered: n.Delivered, Dropped: n.Dropped, MaxHops: n.MaxHops}
+}
+
 // SyncStats folds per-shard counters into the embedded aggregate. Sums and
 // a max, so the result is invariant to the shard count. Idempotent; no-op
 // with a single shard (the aggregate is live).

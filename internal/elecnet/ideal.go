@@ -58,6 +58,11 @@ func (n *Ideal) OnDeliver(fn func(p *netsim.Packet, at sim.Time)) {
 	n.onDeliver = append(n.onDeliver, fn)
 }
 
+// Counters returns the injected and delivered ledger (netsim.Network).
+func (n *Ideal) Counters() netsim.Counters {
+	return netsim.Counters{Injected: n.Injected, Delivered: n.Delivered}
+}
+
 // Send delivers the packet exactly 200 ns later, no queueing, no drops.
 func (n *Ideal) Send(src, dst, size int) *netsim.Packet {
 	n.nextID++

@@ -32,191 +32,146 @@ type AblationRow struct {
 	Comments string
 }
 
-// Ablations runs the full suite at the given scale. The five ablations are
-// independent simulations, so they fan out through the shared worker pool;
-// the returned rows keep the fixed order above.
-func Ablations(sc Scale) ([]AblationRow, error) {
-	// 1. Wiring randomization (raw drop rate, transpose @0.7).
-	drop := func(regular bool) (float64, error) {
-		n, err := core.New(core.Config{
-			Nodes: sc.Nodes, Multiplicity: 4, Seed: sc.Seed,
-			DisableRetransmit: true, RegularWiring: regular,
-		})
-		if err != nil {
-			return 0, err
-		}
-		ol := traffic.OpenLoop{
+// ablationSide is one half of a paired ablation: the network it builds,
+// the open-loop traffic that network carries, the horizon it runs to (0:
+// the scale's safety horizon) and the metric read off the finished run.
+type ablationSide struct {
+	name    string // telemetry label suffix
+	network string // network kind, for audit errors
+	build   func() (netsim.Network, error)
+	traffic func(netsim.Network) traffic.OpenLoop
+	horizon sim.Time
+	metric  func(netsim.Network, *netsim.Collector) float64
+}
+
+// ablation is one paired measurement: the row it renders (the run fills in
+// the values) and its A and B sides.
+type ablation struct {
+	row   AblationRow
+	sides [2]ablationSide
+}
+
+// ablations returns the suite at the given scale, in the fixed order above.
+func ablations(sc Scale) []ablation {
+	baldur := func(cfg core.Config) func() (netsim.Network, error) {
+		cfg.Nodes, cfg.Seed, cfg.Shards = sc.Nodes, sc.Seed, sc.Shards
+		return func() (netsim.Network, error) { return core.New(cfg) }
+	}
+	dragonfly := func(routing string) func() (netsim.Network, error) {
+		cfg := elecnet.DragonflyConfig{P: sc.DragonflyP, Seed: sc.Seed, Routing: routing, Shards: sc.Shards}
+		return func() (netsim.Network, error) { return elecnet.NewDragonfly(cfg) }
+	}
+	transpose := func(netsim.Network) traffic.OpenLoop {
+		return traffic.OpenLoop{
 			Pattern: traffic.Transpose(sc.Nodes), Load: 0.7,
 			PacketsPerNode: sc.PacketsPerNode, Seed: sc.Seed + 9,
 		}
-		ol.Start(n)
-		n.Engine().RunUntil(sc.maxSim())
-		return n.Stats.DataDropRate() * 100, nil
 	}
-	wiringJob := func() (AblationRow, error) {
-		randomPct, err := drop(false)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		regularPct, err := drop(true)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		return AblationRow{
-			Name: "wiring", Variant: "random vs regular butterfly",
-			MetricA: "random drop%", ValueA: randomPct,
-			MetricB: "regular drop%", ValueB: regularPct,
-			Comments: "transpose @0.7: expansion makes worst-case permutations benign",
-		}, nil
-	}
-
-	// 2. BEB (goodput at a fixed horizon under hotspot).
-	beb := func(disable bool) (float64, error) {
-		n, err := core.New(core.Config{
-			Nodes: sc.Nodes, Multiplicity: 2, Seed: sc.Seed, DisableBEB: disable,
-		})
-		if err != nil {
-			return 0, err
-		}
-		ol := traffic.OpenLoop{
+	hotspot := func(netsim.Network) traffic.OpenLoop {
+		return traffic.OpenLoop{
 			Pattern: traffic.Hotspot(sc.Nodes, 0), Load: 0.7,
 			PacketsPerNode: sc.PacketsPerNode / 4, Seed: sc.Seed + 17,
 		}
-		ol.Start(n)
-		n.Engine().RunUntil(sim.Time(2 * sim.Millisecond))
-		return float64(n.Stats.Delivered), nil
 	}
-	bebJob := func() (AblationRow, error) {
-		withBEB, err := beb(false)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		withoutBEB, err := beb(true)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		return AblationRow{
-			Name: "beb", Variant: "backoff on vs off",
-			MetricA: "goodput with", ValueA: withBEB,
-			MetricB: "goodput without", ValueB: withoutBEB,
-			Comments: "hotspot @0.7, 2 ms horizon: BEB prevents congestion collapse",
-		}, nil
-	}
-
-	// 3. Dragonfly routing.
-	dfly := func(routing string) (float64, error) {
-		n, err := elecnet.NewDragonfly(elecnet.DragonflyConfig{
-			P: sc.DragonflyP, Seed: sc.Seed, Routing: routing,
-		})
-		if err != nil {
-			return 0, err
-		}
-		var c netsim.Collector
-		c.Attach(n)
+	groupPerm := func(n netsim.Network) traffic.OpenLoop {
 		group := 2 * sc.DragonflyP * sc.DragonflyP
-		ol := traffic.OpenLoop{
+		return traffic.OpenLoop{
 			Pattern: traffic.GroupPermutation(n.NumNodes(), group, sc.Seed+5),
 			Load:    0.7, PacketsPerNode: sc.PacketsPerNode, Seed: sc.Seed + 3,
 		}
-		ol.Start(n)
-		n.Engine().RunUntil(sc.maxSim())
-		return c.AvgNS(), nil
 	}
-	dflyJob := func() (AblationRow, error) {
-		ugalNS, err := dfly("ugal")
-		if err != nil {
-			return AblationRow{}, err
-		}
-		minimalNS, err := dfly("minimal")
-		if err != nil {
-			return AblationRow{}, err
-		}
-		return AblationRow{
-			Name: "dragonfly-routing", Variant: "ugal vs minimal",
-			MetricA: "ugal avg ns", ValueA: ugalNS,
-			MetricB: "minimal avg ns", ValueB: minimalNS,
-			Comments: "group permutation @0.7: the baseline needs its adaptivity",
-		}, nil
-	}
-
-	// 4. Multiplicity (latency with the protocol on).
-	mult := func(m int) (float64, error) {
-		n, err := core.New(core.Config{Nodes: sc.Nodes, Multiplicity: m, Seed: sc.Seed})
-		if err != nil {
-			return 0, err
-		}
-		var c netsim.Collector
-		c.Attach(n)
-		ol := traffic.OpenLoop{
-			Pattern: traffic.Transpose(sc.Nodes), Load: 0.7,
-			PacketsPerNode: sc.PacketsPerNode, Seed: sc.Seed + 9,
-		}
-		ol.Start(n)
-		n.Engine().RunUntil(sc.maxSim())
-		return c.AvgNS(), nil
-	}
-	multJob := func() (AblationRow, error) {
-		m1NS, err := mult(1)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		m4NS, err := mult(4)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		return AblationRow{
-			Name: "multiplicity", Variant: "m=1 vs m=4",
-			MetricA: "m1 avg ns", ValueA: m1NS,
-			MetricB: "m4 avg ns", ValueB: m4NS,
-			Comments: "transpose @0.7 with retransmission: drops dominate at m=1",
-		}, nil
-	}
-
-	// 5. Link-rate headroom.
-	rate := func(bps float64) (float64, error) {
-		n, err := core.New(core.Config{Nodes: sc.Nodes, Seed: sc.Seed, LinkRate: bps})
-		if err != nil {
-			return 0, err
-		}
-		var c netsim.Collector
-		c.Attach(n)
-		ol := traffic.OpenLoop{
+	randPerm := func(netsim.Network) traffic.OpenLoop {
+		return traffic.OpenLoop{
 			Pattern: traffic.RandomPermutation(sc.Nodes, sc.Seed+2), Load: 0.5,
 			PacketsPerNode: sc.PacketsPerNode, Seed: sc.Seed + 2,
 		}
-		ol.Start(n)
-		n.Engine().RunUntil(sc.maxSim())
-		return c.AvgNS(), nil
 	}
-	rateJob := func() (AblationRow, error) {
-		at25, err := rate(25e9)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		at400, err := rate(400e9)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		return AblationRow{
-			Name: "link-rate", Variant: "25G vs 400G",
-			MetricA: "avg ns @25G", ValueA: at25,
-			MetricB: "avg ns @400G", ValueB: at400,
-			Comments: "switching stays 1.5 ns/stage; latency approaches the 200 ns fiber floor",
-		}, nil
-	}
+	dropPct := func(n netsim.Network, _ *netsim.Collector) float64 { return n.Counters().DataDropRate() * 100 }
+	goodput := func(n netsim.Network, _ *netsim.Collector) float64 { return float64(n.Counters().Delivered) }
+	avgNS := func(_ netsim.Network, c *netsim.Collector) float64 { return c.AvgNS() }
+	bebHorizon := sim.Time(2 * sim.Millisecond)
 
-	jobs := []func() (AblationRow, error){wiringJob, bebJob, dflyJob, multJob, rateJob}
-	rows := make([]AblationRow, len(jobs))
-	err := runParallel(len(jobs), sc.workers(), func(i int) error {
-		r, err := jobs[i]()
+	return []ablation{{
+		row: AblationRow{
+			Name: "wiring", Variant: "random vs regular butterfly",
+			MetricA: "random drop%", MetricB: "regular drop%",
+			Comments: "transpose @0.7: expansion makes worst-case permutations benign",
+		},
+		sides: [2]ablationSide{
+			{"random", "baldur", baldur(core.Config{Multiplicity: 4, DisableRetransmit: true}), transpose, 0, dropPct},
+			{"regular", "baldur", baldur(core.Config{Multiplicity: 4, DisableRetransmit: true, RegularWiring: true}), transpose, 0, dropPct},
+		},
+	}, {
+		row: AblationRow{
+			Name: "beb", Variant: "backoff on vs off",
+			MetricA: "goodput with", MetricB: "goodput without",
+			Comments: "hotspot @0.7, 2 ms horizon: BEB prevents congestion collapse",
+		},
+		sides: [2]ablationSide{
+			{"on", "baldur", baldur(core.Config{Multiplicity: 2}), hotspot, bebHorizon, goodput},
+			{"off", "baldur", baldur(core.Config{Multiplicity: 2, DisableBEB: true}), hotspot, bebHorizon, goodput},
+		},
+	}, {
+		row: AblationRow{
+			Name: "dragonfly-routing", Variant: "ugal vs minimal",
+			MetricA: "ugal avg ns", MetricB: "minimal avg ns",
+			Comments: "group permutation @0.7: the baseline needs its adaptivity",
+		},
+		sides: [2]ablationSide{
+			{"ugal", "dragonfly", dragonfly("ugal"), groupPerm, 0, avgNS},
+			{"minimal", "dragonfly", dragonfly("minimal"), groupPerm, 0, avgNS},
+		},
+	}, {
+		row: AblationRow{
+			Name: "multiplicity", Variant: "m=1 vs m=4",
+			MetricA: "m1 avg ns", MetricB: "m4 avg ns",
+			Comments: "transpose @0.7 with retransmission: drops dominate at m=1",
+		},
+		sides: [2]ablationSide{
+			{"m1", "baldur", baldur(core.Config{Multiplicity: 1}), transpose, 0, avgNS},
+			{"m4", "baldur", baldur(core.Config{Multiplicity: 4}), transpose, 0, avgNS},
+		},
+	}, {
+		row: AblationRow{
+			Name: "link-rate", Variant: "25G vs 400G",
+			MetricA: "avg ns @25G", MetricB: "avg ns @400G",
+			Comments: "switching stays 1.5 ns/stage; latency approaches the 200 ns fiber floor",
+		},
+		sides: [2]ablationSide{
+			{"25G", "baldur", baldur(core.Config{LinkRate: 25e9}), randPerm, 0, avgNS},
+			{"400G", "baldur", baldur(core.Config{LinkRate: 400e9}), randPerm, 0, avgNS},
+		},
+	}}
+}
+
+// Ablations runs the full suite at the given scale. Its ten sides are
+// independent Scale-driven cells (they honour Shards, Warmup, Audit and
+// Telemetry), so they fan out through the shared worker pool; the returned
+// rows keep the fixed order above.
+func Ablations(sc Scale) ([]AblationRow, error) {
+	suite := ablations(sc)
+	values := make([]float64, 2*len(suite))
+	err := runParallel(len(values), sc.workers(), func(i int) error {
+		s := &suite[i/2].sides[i%2]
+		net, err := s.build()
 		if err != nil {
 			return err
 		}
-		rows[i] = r
+		label := "ablation-" + suite[i/2].row.Name + "-" + s.name
+		col, err := sc.runOpenLoopNet(net, s.network, label, s.traffic(net), s.horizon)
+		if err != nil {
+			return err
+		}
+		values[i] = s.metric(net, col)
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]AblationRow, len(suite))
+	for i, a := range suite {
+		rows[i] = a.row
+		rows[i].ValueA, rows[i].ValueB = values[2*i], values[2*i+1]
 	}
 	return rows, nil
 }

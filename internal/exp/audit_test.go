@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"testing"
 
 	"baldur/internal/check"
@@ -9,11 +10,35 @@ import (
 
 // TestRunOpenLoopAudited drives every auditable network through the harness
 // with the invariant-audit layer armed, serial and sharded: zero violations,
-// and the measured Point — and the latency profile of the same cell — must
-// be identical to an unaudited run (auditing verifies, never perturbs).
+// and the measured Point — and the latency profile of the same cell, Table
+// V and the ablation suite — must be identical to an unaudited run
+// (auditing verifies, never perturbs).
 func TestRunOpenLoopAudited(t *testing.T) {
 	sc := Quick
 	sc.PacketsPerNode = 20
+	baseT5, err := Table5(sc)
+	if err != nil {
+		t.Fatalf("unaudited Table V: %v", err)
+	}
+	baseAbl, err := Ablations(sc)
+	if err != nil {
+		t.Fatalf("unaudited ablations: %v", err)
+	}
+	for _, shards := range []int{1, 4} {
+		asc := sc
+		asc.Shards = shards
+		asc.Audit = &check.Options{}
+		if rows, err := Table5(asc); err != nil {
+			t.Errorf("Table V K=%d audited: %v", shards, err)
+		} else if !reflect.DeepEqual(rows, baseT5) {
+			t.Errorf("Table V K=%d: audited rows %+v != unaudited %+v", shards, rows, baseT5)
+		}
+		if rows, err := Ablations(asc); err != nil {
+			t.Errorf("ablations K=%d audited: %v", shards, err)
+		} else if !reflect.DeepEqual(rows, baseAbl) {
+			t.Errorf("ablations K=%d: audited rows %+v != unaudited %+v", shards, rows, baseAbl)
+		}
+	}
 	for _, network := range []string{"baldur", "multibutterfly", "dragonfly", "fattree"} {
 		base, err := RunOpenLoop(network, "random_permutation", 0.5, sc)
 		if err != nil {

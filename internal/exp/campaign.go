@@ -158,7 +158,7 @@ type CellResult struct {
 	Checkpoints int
 	Violations  []check.Violation
 
-	fp harness.Fingerprint
+	fp netsim.Counters
 }
 
 func (c *CellResult) id() string {
@@ -175,7 +175,7 @@ func (c *CellResult) invKey() string {
 	return fmt.Sprintf("%s/%d/%d/%d/%s", c.Net, c.NodesExp, c.LoadPct, c.Seed, c.Script)
 }
 
-func retxRatio(fp harness.Fingerprint) float64 {
+func retxRatio(fp netsim.Counters) float64 {
 	if fp.Injected == 0 || fp.DataAttempts == 0 {
 		return 1
 	}
@@ -201,7 +201,7 @@ func runCampaignCell(spec CampaignSpec, netName string, nodesExp, loadPct, shard
 		FaultStage:     -1,
 		Seed:           seed,
 	}.Canon()
-	net, read, err := harness.Build(cfg, shards)
+	net, _, err := harness.Build(cfg, shards)
 	if err != nil {
 		return res, err
 	}
@@ -247,7 +247,7 @@ func runCampaignCell(spec CampaignSpec, netName string, nodesExp, loadPct, shard
 		Interval: sim.Microseconds(spec.SliceUS),
 		Script:   ctrl,
 		Observe: func(at sim.Time, drained bool) {
-			fp := read()
+			fp := net.Counters()
 			outstanding := int64(fp.Injected) - int64(fp.Delivered) - int64(fp.GaveUp) - int64(fp.Dropped)
 			if fp.Delivered == prevDelivered && outstanding > 0 {
 				res.UnavailUS += sim.Duration(at-prevAt).Seconds() * 1e6
@@ -274,7 +274,7 @@ func runCampaignCell(spec CampaignSpec, netName string, nodesExp, loadPct, shard
 			return res, err
 		}
 	}
-	fp := read()
+	fp := net.Counters()
 	res.fp = fp
 	res.Injected = fp.Injected
 	res.Delivered = fp.Delivered
@@ -404,7 +404,7 @@ func RunCampaign(spec CampaignSpec) (*CampaignReport, error) {
 	// Serial fold in canonical order: baselines precede their script cells
 	// within each (config, seed) group by construction of enumCells.
 	rep := &CampaignReport{Spec: spec}
-	baselines := make(map[string]harness.Fingerprint)
+	baselines := make(map[string]netsim.Counters)
 	baseTails := make(map[string]float64)
 	invariant := make(map[string]*CellResult)
 	for i := range cells {

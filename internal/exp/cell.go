@@ -7,6 +7,7 @@ import (
 	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
+	"baldur/internal/traffic"
 )
 
 // cellSpec is what varies between the packet-level cells runCell drives.
@@ -118,6 +119,22 @@ func runCell(net netsim.Network, col *netsim.Collector, start func(netsim.Networ
 		}
 	}
 	return r, nil
+}
+
+// runOpenLoopNet runs open-loop traffic ol on a freshly built net as the
+// Scale-driven cell label, to the scale's safety horizon or, when set, to
+// horizon, and exports the cell's telemetry. Table V and the ablations,
+// which build their own network variants, run through it.
+func (sc Scale) runOpenLoopNet(net netsim.Network, network, label string, ol traffic.OpenLoop, horizon sim.Time) (*netsim.Collector, error) {
+	c := sc.cell(network, label, label)
+	if horizon > 0 {
+		c.deadline = horizon
+	}
+	run, err := runCell(net, nil, func(n netsim.Network) error { ol.Start(n); return nil }, c)
+	if err != nil {
+		return nil, err
+	}
+	return run.col, writeTelemetry(run.tel, sc, label)
 }
 
 // writeTelemetry exports a cell's telemetry, tagging output paths when the

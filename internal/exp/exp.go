@@ -179,54 +179,24 @@ func (sc Scale) maxSim() sim.Time {
 // NetworkNames lists the evaluated networks in the paper's order.
 var NetworkNames = []string{"baldur", "multibutterfly", "dragonfly", "fattree", "ideal"}
 
-// instance couples a live network with its metadata.
-type instance struct {
-	name string
-	net  netsim.Network
-	// drained reports outstanding work (Baldur only; lossless networks
-	// drain by construction when the engine empties).
-	stats func() (drops uint64, attempts uint64)
-}
-
 // build constructs one named network at the given scale. Patterns are
 // generated per network because node counts differ slightly (1,024 vs
 // 1,056), exactly as in the paper.
-func build(name string, sc Scale) (*instance, error) {
+func build(name string, sc Scale) (netsim.Network, error) {
 	switch name {
 	case "baldur":
-		n, err := core.New(core.Config{Nodes: sc.Nodes, Seed: sc.Seed, Shards: sc.Shards})
-		if err != nil {
-			return nil, err
-		}
-		return &instance{
-			name: name, net: n,
-			stats: func() (uint64, uint64) { return n.Stats.DataDrops, n.Stats.DataAttempts },
-		}, nil
+		return core.New(core.Config{Nodes: sc.Nodes, Seed: sc.Seed, Shards: sc.Shards})
 	case "multibutterfly":
-		n, err := elecnet.NewMultiButterfly(elecnet.MBConfig{Nodes: sc.Nodes, Multiplicity: 4, Seed: sc.Seed, Shards: sc.Shards})
-		if err != nil {
-			return nil, err
-		}
-		return &instance{name: name, net: n, stats: zeroStats}, nil
+		return elecnet.NewMultiButterfly(elecnet.MBConfig{Nodes: sc.Nodes, Multiplicity: 4, Seed: sc.Seed, Shards: sc.Shards})
 	case "dragonfly":
-		n, err := elecnet.NewDragonfly(elecnet.DragonflyConfig{P: sc.DragonflyP, Seed: sc.Seed, Shards: sc.Shards})
-		if err != nil {
-			return nil, err
-		}
-		return &instance{name: name, net: n, stats: zeroStats}, nil
+		return elecnet.NewDragonfly(elecnet.DragonflyConfig{P: sc.DragonflyP, Seed: sc.Seed, Shards: sc.Shards})
 	case "fattree":
-		n, err := elecnet.NewFatTree(elecnet.FatTreeConfig{K: sc.FatTreeK, Shards: sc.Shards})
-		if err != nil {
-			return nil, err
-		}
-		return &instance{name: name, net: n, stats: zeroStats}, nil
+		return elecnet.NewFatTree(elecnet.FatTreeConfig{K: sc.FatTreeK, Shards: sc.Shards})
 	case "ideal":
-		return &instance{name: name, net: elecnet.NewIdeal(sc.Nodes, 0), stats: zeroStats}, nil
+		return elecnet.NewIdeal(sc.Nodes, 0), nil
 	}
 	return nil, fmt.Errorf("exp: unknown network %q", name)
 }
-
-func zeroStats() (uint64, uint64) { return 0, 0 }
 
 // patternFor generates a named traffic pattern sized for the given network.
 func patternFor(pattern string, nodes int, sc Scale) (*traffic.Pattern, error) {
@@ -265,7 +235,7 @@ type Point struct {
 	Load     float64
 	AvgNS    float64
 	TailNS   float64
-	DropRate float64 // Baldur only; 0 for lossless networks
+	DropRate float64 // data drops per attempt; 0 for lossless networks
 	// ThroughputPPS is the delivered-packet rate over the span from start
 	// to the last delivery (virtual time). Both fidelity tiers report it;
 	// it is the throughput metric the twin calibration gates on.
@@ -315,11 +285,11 @@ func openLoopCell(col *netsim.Collector, prefix, network, pattern string, load f
 // source's start; label names the cell's telemetry and is only called when
 // telemetry is on, keeping its Sprintf off the disabled path.
 func patternCell(col *netsim.Collector, network, pattern string, sc Scale, label func() string, source func(*traffic.Pattern) func(netsim.Network)) (Point, netsim.Network, *telemetry.Telemetry, error) {
-	inst, err := build(network, sc)
+	net, err := build(network, sc)
 	if err != nil {
 		return Point{}, nil, nil, err
 	}
-	pat, err := patternFor(pattern, inst.net.NumNodes(), sc)
+	pat, err := patternFor(pattern, net.NumNodes(), sc)
 	if err != nil {
 		return Point{}, nil, nil, err
 	}
@@ -328,24 +298,21 @@ func patternCell(col *netsim.Collector, network, pattern string, sc Scale, label
 		name = label()
 	}
 	start := source(pat)
-	run, err := runCell(inst.net, col, func(n netsim.Network) error { start(n); return nil }, sc.cell(network, pattern, name))
+	run, err := runCell(net, col, func(n netsim.Network) error { start(n); return nil }, sc.cell(network, pattern, name))
 	if err == nil {
 		err = writeTelemetry(run.tel, sc, name)
 	}
 	if err != nil {
 		return Point{}, nil, nil, err
 	}
-	p := Point{
+	return Point{
 		Network:  network,
 		AvgNS:    run.col.AvgNS(),
 		TailNS:   run.col.TailNS(),
+		DropRate: net.Counters().DataDropRate(),
 		Finished: !run.more,
-		Events:   netsim.Events(inst.net),
-	}
-	if drops, attempts := inst.stats(); attempts > 0 {
-		p.DropRate = float64(drops) / float64(attempts)
-	}
-	return p, inst.net, run.tel, nil
+		Events:   netsim.Events(net),
+	}, net, run.tel, nil
 }
 
 // twinOpenLoopCell answers one open-loop cell from the analytical tier:

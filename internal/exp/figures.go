@@ -76,13 +76,14 @@ func Table5(sc Scale) ([]Table5Row, error) {
 			PacketsPerNode: sc.PacketsPerNode,
 			Seed:           sc.Seed + 55,
 		}
-		ol.Start(n)
-		n.Run(sc.maxSim())
+		if _, err := sc.runOpenLoopNet(n, "baldur", fmt.Sprintf("table5-m%d", m), ol, 0); err != nil {
+			return nil, err
+		}
 		rows = append(rows, Table5Row{
 			Multiplicity: m,
 			Gates:        tl.GatesPerSwitch(m),
 			LatencyNS:    tl.SwitchLatencyNS(m),
-			DropRatePct:  n.Stats.DataDropRate() * 100,
+			DropRatePct:  n.Counters().DataDropRate() * 100,
 			PaperDropPct: tl.PaperDropRatePct(m),
 			SwitchPowerW: tl.SwitchPowerW(m),
 		})
@@ -241,11 +242,11 @@ func Fig7(sc Scale, networks []string) ([]Fig7Row, error) {
 // built unsharded.
 func RunTrace(network, workload string, sc Scale) (Point, error) {
 	sc.Shards = 0
-	inst, err := build(network, sc)
+	net, err := build(network, sc)
 	if err != nil {
 		return Point{}, err
 	}
-	w := trace.ByName(workload, inst.net.NumNodes(), trace.Options{
+	w := trace.ByName(workload, net.NumNodes(), trace.Options{
 		Iterations: sc.TraceIters,
 		Seed:       sc.Seed + 7,
 	})
@@ -271,7 +272,7 @@ func RunTrace(network, workload string, sc Scale) (Point, error) {
 		}
 		return !st.Completed, nil
 	}
-	run, err := runCell(inst.net, nil, func(n netsim.Network) (err error) {
+	run, err := runCell(net, nil, func(n netsim.Network) (err error) {
 		rep, err = trace.NewReplayer(n, w)
 		return err
 	}, c)

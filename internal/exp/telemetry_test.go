@@ -186,6 +186,25 @@ func TestTelemetryFileOutputs(t *testing.T) {
 	}
 }
 
+// TestTable5WritesPerCellMetrics checks Table V honours the telemetry
+// options: with per-cell tagging, each multiplicity exports its own metrics
+// file.
+func TestTable5WritesPerCellMetrics(t *testing.T) {
+	dir := t.TempDir()
+	sc := Quick
+	sc.PacketsPerNode = 10
+	sc.Telemetry = &telemetry.Options{MetricsOut: filepath.Join(dir, "m.csv")}
+	sc.TelemetryPerCell = true
+	if _, err := Table5(sc); err != nil {
+		t.Fatal(err)
+	}
+	for m := 1; m <= 5; m++ {
+		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("m-table5-m%d.csv", m))); err != nil {
+			t.Errorf("m=%d: %v", m, err)
+		}
+	}
+}
+
 // sumCSVColumns sums every numeric column of a header-led CSV by name.
 func sumCSVColumns(data string) (map[string]uint64, error) {
 	lines := strings.Split(strings.TrimSpace(data), "\n")

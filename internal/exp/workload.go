@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"baldur/internal/core"
-	"baldur/internal/elecnet"
 	"baldur/internal/netsim"
 	"baldur/internal/workload"
 
@@ -38,25 +36,6 @@ type SLOReport struct {
 	Events          uint64
 }
 
-// injectedOf reads a network's injected-packet ledger (the same counter the
-// check conservation ledger audits). The analytic ideal network keeps one
-// too; unknown implementations report 0.
-func injectedOf(net netsim.Network) uint64 {
-	switch n := net.(type) {
-	case *core.Network:
-		return n.Stats.Injected
-	case *elecnet.MultiButterfly:
-		return n.Injected
-	case *elecnet.Dragonfly:
-		return n.Injected
-	case *elecnet.FatTree:
-		return n.Injected
-	case *elecnet.Ideal:
-		return n.Injected
-	}
-	return 0
-}
-
 // RunWorkload runs one workload spec on one network at the given scale and
 // returns the per-tenant SLO report. Workload cells are packet-only (flows
 // have no twin-tier analogue yet). When the run drains before the safety
@@ -72,7 +51,7 @@ func RunWorkload(network string, spec workload.Spec, sc Scale) (*SLOReport, erro
 	if err != nil {
 		return nil, err
 	}
-	inst, err := build(network, sc)
+	net, err := build(network, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +60,7 @@ func RunWorkload(network string, spec workload.Spec, sc Scale) (*SLOReport, erro
 	if sc.Telemetry != nil {
 		label = fmt.Sprintf("%s-workload-%s", network, name)
 	}
-	run, err := runCell(inst.net, nil, drv.Attach, sc.cell(network, "workload:"+name, label))
+	run, err := runCell(net, nil, drv.Attach, sc.cell(network, "workload:"+name, label))
 	if err != nil {
 		return nil, err
 	}
@@ -94,11 +73,11 @@ func RunWorkload(network string, spec workload.Spec, sc Scale) (*SLOReport, erro
 		Admitted:        admitted,
 		Rejected:        rejected,
 		AdmittedPackets: apkts,
-		Injected:        injectedOf(inst.net),
+		Injected:        net.Counters().Injected,
 		Delivered:       run.col.Delivered(),
 		IncompleteFlows: drv.IncompleteFlows(),
 		Finished:        !run.more,
-		Events:          netsim.Events(inst.net),
+		Events:          netsim.Events(net),
 	}
 	if arrived != admitted+rejected {
 		return nil, fmt.Errorf("exp: %s workload %q: ledger mismatch: arrived %d != admitted %d + rejected %d",

@@ -86,6 +86,38 @@ type Network interface {
 	// On sharded networks the callback runs on the destination node's
 	// shard; callbacks must only touch per-node or per-shard state.
 	OnDeliver(fn func(p *Packet, at sim.Time))
+	// Counters returns the network's packet ledger, folded across shards
+	// as of the last Run boundary.
+	Counters() Counters
+}
+
+// Counters is a network's packet ledger: the counters the conservation
+// audit reconciles and the differential compares across shard counts.
+// Networks fill the fields their model has and leave the rest zero (the
+// electrical networks keep no attempts or retransmissions; Baldur keeps no
+// hop bound).
+type Counters struct {
+	Injected        uint64 // unique data packets handed to Send
+	Delivered       uint64 // unique data packets delivered
+	Duplicates      uint64 // redundant deliveries discarded by dedup
+	DataAttempts    uint64 // data transmissions entering the fabric
+	DataDrops       uint64 // data transmissions dropped in-network
+	AckAttempts     uint64
+	AckDrops        uint64
+	Retransmissions uint64
+	GaveUp          uint64 // data packets abandoned unacknowledged
+	FaultDrops      uint64 // transmissions lost to injected faults
+	Dropped         uint64 // packets lost to faults on lossless networks
+	MaxHops         int
+}
+
+// DataDropRate returns dropped / attempted data transmissions (0 with no
+// attempts), the metric of Table V.
+func (c Counters) DataDropRate() float64 {
+	if c.DataAttempts == 0 {
+		return 0
+	}
+	return float64(c.DataDrops) / float64(c.DataAttempts)
 }
 
 // Sharded is implemented by networks that support multi-shard parallel

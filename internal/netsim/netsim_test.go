@@ -18,6 +18,7 @@ func (f *fakeNet) Send(src, dst, size int) *Packet {
 	return &Packet{Src: src, Dst: dst, Size: size, Created: f.eng.Now()}
 }
 func (f *fakeNet) OnDeliver(fn func(*Packet, sim.Time)) { f.fns = append(f.fns, fn) }
+func (f *fakeNet) Counters() Counters                   { return Counters{} }
 
 func (f *fakeNet) deliver(p *Packet, at sim.Time) {
 	for _, fn := range f.fns {
