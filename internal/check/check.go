@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"baldur/internal/sim"
-	"baldur/internal/telemetry"
 )
 
 // DefaultInterval is the checkpoint spacing when Options.Interval is zero
@@ -70,13 +69,6 @@ func (v Violation) String() string {
 // barriers, which is exactly when nothing else touches it.
 type Auditor struct {
 	Opts Options
-
-	// Tel, when non-nil, enables the telemetry-vs-stats cross-checks:
-	// networks that register counters in both layers assert at every
-	// checkpoint that the folded telemetry totals equal the model's Stats
-	// counters (the generalization of the hand-written equality tests that
-	// shipped with the telemetry layer).
-	Tel *telemetry.Telemetry
 
 	// SkewInjected is added to the observed injected-packet count inside
 	// the conservation ledgers — a deliberately seeded accounting bug.

@@ -53,9 +53,6 @@ type coreAudit struct {
 //   - core/pools — pooled events and ACK packets balance: live counts are
 //     non-negative summed across shards, bounded by the engines' queued
 //     events, and exactly zero once the run drains.
-//   - core/telemetry — when an attached telemetry layer is shared with the
-//     auditor (Auditor.Tel), the folded counter totals equal the Stats
-//     fields they shadow.
 //
 // Violations carry the full ledger diff, the simulated time and the shard.
 func (n *Network) AttachAudit(a *check.Auditor) {
@@ -207,39 +204,6 @@ func (n *Network) audit(a *check.Auditor, at sim.Time, drained bool) {
 		if census.Pending != 0 {
 			a.Violatef(at, -1, "core/pools",
 				"drained flag set but %d events still queued", census.Pending)
-		}
-	}
-
-	if a.Tel != nil {
-		n.auditTelemetry(a, at)
-	}
-}
-
-// auditTelemetry asserts the folded telemetry counters equal the Stats
-// fields they shadow — the generalized form of the telemetry layer's
-// hand-written counters-match-stats test, evaluated at every checkpoint.
-func (n *Network) auditTelemetry(a *check.Auditor, at sim.Time) {
-	st := &n.Stats
-	reg := a.Tel.Reg
-	for _, pair := range [...]struct {
-		name string
-		want uint64
-	}{
-		{"injected", st.Injected},
-		{"delivered", st.Delivered},
-		{"duplicates", st.Duplicates},
-		{"data_attempts", st.DataAttempts},
-		{"data_drops", st.DataDrops},
-		{"ack_attempts", st.AckAttempts},
-		{"ack_drops", st.AckDrops},
-		{"retransmissions", st.Retransmissions},
-	} {
-		if reg.Index(pair.name) < 0 {
-			continue // telemetry attached to a different network
-		}
-		if got := reg.Total(pair.name); got != pair.want {
-			a.Violatef(at, -1, "core/telemetry",
-				"counter %q totals %d but Stats says %d", pair.name, got, pair.want)
 		}
 	}
 }

@@ -137,23 +137,11 @@ func (c *Config) applyDefaults() error {
 	return nil
 }
 
-// Stats aggregates the network-wide counters of one run.
+// Stats aggregates the network-wide counters of one run: the packet ledger
+// (embedded, so n.Stats.Injected and friends read it directly) plus
+// Baldur's own diagnostics.
 type Stats struct {
-	Injected        uint64 // unique data packets handed to Send
-	Delivered       uint64 // unique data packets delivered
-	Duplicates      uint64 // redundant deliveries discarded by dedup
-	DataAttempts    uint64 // data transmissions entering stage 0
-	DataDrops       uint64 // data transmissions dropped in-network
-	AckAttempts     uint64
-	AckDrops        uint64
-	Retransmissions uint64
-	// GaveUp counts data packets abandoned at Config.MaxAttempts: the
-	// sender cleared them from the retransmission buffer unACKed.
-	GaveUp uint64
-	// FaultDrops counts transmissions lost to injected faults (dead
-	// switches, degraded lasers, severed host links). It is a subset of
-	// DataDrops+AckDrops, never an extra loss category.
-	FaultDrops uint64
+	netsim.Counters
 	// DropsByStage histograms where contention bites.
 	DropsByStage []uint64
 	// MaxRetxBufBytes is the high-water mark of any node's unACKed
@@ -161,15 +149,6 @@ type Stats struct {
 	MaxRetxBufBytes int
 	// AckLatency collects ACK round-trip times (ns) for diagnostics.
 	AckLatency stats.Running
-}
-
-// DataDropRate returns dropped / attempted data transmissions, the metric
-// of Table V.
-func (s *Stats) DataDropRate() float64 {
-	if s.DataAttempts == 0 {
-		return 0
-	}
-	return float64(s.DataDrops) / float64(s.DataAttempts)
 }
 
 // Network is a Baldur network instance. It implements netsim.Network and
@@ -340,7 +319,6 @@ func (n *Network) Send(src, dst, size int) *netsim.Packet {
 	nic.nextSeq++
 	nic.sh.stats.Injected++
 	if tp := nic.sh.tp; tp != nil {
-		tp.injected.Inc()
 		if tp.ring != nil {
 			tp.ring.Add(telemetry.Record{
 				At: p.Created, Pkt: p.ID, Kind: telemetry.KindInject,
@@ -380,14 +358,8 @@ func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
 	if p.Ack {
 		dur = n.ackDur
 		n.fab.stats.AckAttempts++
-		if tp != nil {
-			tp.ackAttempts.Inc()
-		}
 	} else {
 		n.fab.stats.DataAttempts++
-		if tp != nil {
-			tp.dataAttempts.Inc()
-		}
 	}
 	perStage := n.cfg.SwitchLatency + n.cfg.InterStageDelay
 	sw, _ := n.mb.InjectionSwitch(p.Src)
@@ -479,18 +451,11 @@ func (n *Network) drop(p *netsim.Packet, stage int, t sim.Time) {
 	if n.dbgDrop != nil {
 		n.dbgDrop(p, stage)
 	}
-	if tp := n.fab.tp; tp != nil {
-		if p.Ack {
-			tp.ackDrops.Inc()
-		} else {
-			tp.dataDrops.Inc()
-		}
-		if tp.ring != nil {
-			tp.ring.Add(telemetry.Record{
-				At: t, Pkt: p.ID, Kind: telemetry.KindDrop,
-				Src: int32(p.Src), Dst: int32(p.Dst), Loc: int32(stage),
-			})
-		}
+	if tp := n.fab.tp; tp != nil && tp.ring != nil {
+		tp.ring.Add(telemetry.Record{
+			At: t, Pkt: p.ID, Kind: telemetry.KindDrop,
+			Src: int32(p.Src), Dst: int32(p.Dst), Loc: int32(stage),
+		})
 	}
 	if p.Ack {
 		n.fab.stats.AckDrops++
@@ -512,18 +477,11 @@ func (n *Network) dropFault(p *netsim.Packet, t sim.Time) {
 	if n.dbgDrop != nil {
 		n.dbgDrop(p, -1)
 	}
-	if tp := n.fab.tp; tp != nil {
-		if p.Ack {
-			tp.ackDrops.Inc()
-		} else {
-			tp.dataDrops.Inc()
-		}
-		if tp.ring != nil {
-			tp.ring.Add(telemetry.Record{
-				At: t, Pkt: p.ID, Kind: telemetry.KindDrop,
-				Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
-			})
-		}
+	if tp := n.fab.tp; tp != nil && tp.ring != nil {
+		tp.ring.Add(telemetry.Record{
+			At: t, Pkt: p.ID, Kind: telemetry.KindDrop,
+			Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
+		})
 	}
 	if p.Ack {
 		n.fab.stats.AckDrops++

@@ -65,21 +65,7 @@ func (n *Network) ScheduleNode(node int, t sim.Time, ev sim.Event) {
 
 // Counters returns the packet ledger folded into n.Stats by the last Run
 // (netsim.Network).
-func (n *Network) Counters() netsim.Counters {
-	st := &n.Stats
-	return netsim.Counters{
-		Injected:        st.Injected,
-		Delivered:       st.Delivered,
-		Duplicates:      st.Duplicates,
-		DataAttempts:    st.DataAttempts,
-		DataDrops:       st.DataDrops,
-		AckAttempts:     st.AckAttempts,
-		AckDrops:        st.AckDrops,
-		Retransmissions: st.Retransmissions,
-		GaveUp:          st.GaveUp,
-		FaultDrops:      st.FaultDrops,
-	}
-}
+func (n *Network) Counters() netsim.Counters { return n.Stats.Counters }
 
 // SyncStats folds per-shard and per-NIC statistics into n.Stats. It is
 // idempotent and invoked by Run; tests that drive the engine directly call
@@ -93,16 +79,7 @@ func (n *Network) SyncStats() {
 		}
 		for _, sh := range n.shards {
 			s := sh.stats
-			agg.Injected += s.Injected
-			agg.Delivered += s.Delivered
-			agg.Duplicates += s.Duplicates
-			agg.DataAttempts += s.DataAttempts
-			agg.DataDrops += s.DataDrops
-			agg.AckAttempts += s.AckAttempts
-			agg.AckDrops += s.AckDrops
-			agg.Retransmissions += s.Retransmissions
-			agg.GaveUp += s.GaveUp
-			agg.FaultDrops += s.FaultDrops
+			agg.Counters.Add(s.Counters)
 			for j, v := range s.DropsByStage {
 				agg.DropsByStage[j] += v
 			}

@@ -1,85 +1,56 @@
 package core
 
 import (
+	"baldur/internal/netsim"
 	"baldur/internal/telemetry"
 )
 
 // coreProbe is one shard's resolved telemetry handles. A nil probe (the
 // default) disables recording; every hot-path hook is guarded by that single
 // nil check, so an uninstrumented run pays one predictable branch per site
-// and allocates nothing.
+// and allocates nothing. The packet-ledger counters have no handles here:
+// telemetry reads them from the shard's stored ledger at each sample.
 type coreProbe struct {
-	injected        telemetry.Count
-	delivered       telemetry.Count
-	duplicates      telemetry.Count
-	dataAttempts    telemetry.Count
-	dataDrops       telemetry.Count
-	ackAttempts     telemetry.Count
-	ackDrops        telemetry.Count
-	retransmissions telemetry.Count
-	hops            telemetry.Count
-	blocks          telemetry.Count
-	ring            *telemetry.Ring
+	hops   telemetry.Count
+	blocks telemetry.Count
+	ring   *telemetry.Ring
 	// traceEvery is the resolved 1-in-N lifecycle-trace sampling rate
 	// (0: span capture off). Nonzero only when ring is non-nil.
 	traceEvery int
 }
 
 // AttachTelemetry registers Baldur's metrics and resolves per-shard probes
-// (netsim.Instrumented). Counters are incremented at exactly the sites that
-// feed Stats, so the sampled series sums to the end-of-run aggregates;
-// gauges are refreshed from live NIC/fabric state at each sample barrier.
-// Call before the run starts, at most once.
+// (netsim.Instrumented). The ledger counters are read from each shard's
+// stored ledger at every sample (netsim.SampleLedger), so the sampled series
+// sums to the end-of-run aggregates; hops and blocks are counted at their
+// sites; gauges are refreshed from live NIC/fabric state at each sample
+// barrier. Call before the run starts, at most once.
 func (n *Network) AttachTelemetry(tel *telemetry.Telemetry) {
 	reg := tel.Reg
-	ids := struct {
-		injected, delivered, duplicates int
-		dataAttempts, dataDrops         int
-		ackAttempts, ackDrops           int
-		retransmissions, hops, blocks   int
-		nicQueued, inFlight, retxBytes  int
-		wiresBusy, wiresTotal           int
-	}{
-		injected:        reg.Counter("injected"),
-		delivered:       reg.Counter("delivered"),
-		duplicates:      reg.Counter("duplicates"),
-		dataAttempts:    reg.Counter("data_attempts"),
-		dataDrops:       reg.Counter("data_drops"),
-		ackAttempts:     reg.Counter("ack_attempts"),
-		ackDrops:        reg.Counter("ack_drops"),
-		retransmissions: reg.Counter("retransmissions"),
-		hops:            reg.Counter("hops"),
-		blocks:          reg.Counter("blocks"),
-		nicQueued:       reg.Gauge("nic_queued"),
-		inFlight:        reg.Gauge("in_flight"),
-		retxBytes:       reg.Gauge("retx_bytes"),
-		wiresBusy:       reg.Gauge("wires_busy"),
-		wiresTotal:      reg.Gauge("wires_total"),
+	ledgers := make([]*netsim.Counters, len(n.shards))
+	for i, sh := range n.shards {
+		ledgers[i] = &sh.stats.Counters
 	}
+	netsim.SampleLedger(tel, ledgers, "injected", "delivered", "duplicates",
+		"data_attempts", "data_drops", "ack_attempts", "ack_drops", "retransmissions")
+	hops := reg.Counter("hops")
+	blocks := reg.Counter("blocks")
 	for i, sh := range n.shards {
 		sh.tp = &coreProbe{
-			injected:        reg.Count(ids.injected, i),
-			delivered:       reg.Count(ids.delivered, i),
-			duplicates:      reg.Count(ids.duplicates, i),
-			dataAttempts:    reg.Count(ids.dataAttempts, i),
-			dataDrops:       reg.Count(ids.dataDrops, i),
-			ackAttempts:     reg.Count(ids.ackAttempts, i),
-			ackDrops:        reg.Count(ids.ackDrops, i),
-			retransmissions: reg.Count(ids.retransmissions, i),
-			hops:            reg.Count(ids.hops, i),
-			blocks:          reg.Count(ids.blocks, i),
-			ring:            tel.Ring(i),
-			traceEvery:      tel.TraceEvery(),
+			hops:       reg.Count(hops, i),
+			blocks:     reg.Count(blocks, i),
+			ring:       tel.Ring(i),
+			traceEvery: tel.TraceEvery(),
 		}
 	}
 	// Gauge refresh runs at sample barriers only — shard goroutines are
 	// parked, so walking every NIC and the fabric's wire table is safe.
 	// Values land in shard 0's slots (gauges are instants, not sums).
-	nicQueued := reg.Count(ids.nicQueued, 0)
-	inFlight := reg.Count(ids.inFlight, 0)
-	retxBytes := reg.Count(ids.retxBytes, 0)
-	wiresBusy := reg.Count(ids.wiresBusy, 0)
-	wiresTotal := reg.Count(ids.wiresTotal, 0)
+	nicQueued := reg.Count(reg.Gauge("nic_queued"), 0)
+	inFlight := reg.Count(reg.Gauge("in_flight"), 0)
+	retxBytes := reg.Count(reg.Gauge("retx_bytes"), 0)
+	wiresBusy := reg.Count(reg.Gauge("wires_busy"), 0)
+	wiresTotal := reg.Count(reg.Gauge("wires_total"), 0)
 	tel.OnProbe(func() {
 		var queued, flight, retx uint64
 		for i := range n.nics {

@@ -26,8 +26,8 @@ func dragonflyLatency(t *testing.T, routing string, pat func(nodes int) *traffic
 	}
 	ol.Start(n)
 	n.Engine().Run()
-	if n.Injected != n.Delivered {
-		t.Fatalf("routing %q lost packets: %d vs %d", routing, n.Injected, n.Delivered)
+	if c := n.Counters(); c.Injected != c.Delivered {
+		t.Fatalf("routing %q lost packets: %d vs %d", routing, c.Injected, c.Delivered)
 	}
 	return c.AvgNS()
 }

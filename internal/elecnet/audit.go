@@ -36,9 +36,6 @@ type elecAudit struct {
 //     to capacity.
 //   - elec/pools — pooled states and credit events balance across shards
 //     and are exactly zero once the run drains, with no events left queued.
-//   - elec/telemetry — when an attached telemetry layer is shared with the
-//     auditor (Auditor.Tel), the folded injected/delivered counter totals
-//     equal the NetStats fields they shadow.
 func (n *engine) AttachAudit(a *check.Auditor) {
 	for _, sh := range n.shards {
 		sh.aud = &elecAudit{}
@@ -48,6 +45,7 @@ func (n *engine) AttachAudit(a *check.Auditor) {
 
 func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
 	n.SyncStats()
+	st := &n.ledger
 	per := int32(n.cfg.slotsPerVC())
 
 	var stateLive, credLive int64
@@ -56,15 +54,15 @@ func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
 		credLive += sh.aud.credit.Live()
 	}
 
-	inj := n.Injected + a.SkewInjected
-	if n.Delivered+n.Dropped > inj {
+	inj := st.Injected + a.SkewInjected
+	if st.Delivered+st.Dropped > inj {
 		a.Violatef(at, -1, "elec/conservation",
-			"%s: delivered=%d + dropped=%d > injected=%d", n.name, n.Delivered, n.Dropped, inj)
+			"%s: delivered=%d + dropped=%d > injected=%d", n.name, st.Delivered, st.Dropped, inj)
 	}
-	if inFlight := int64(inj) - int64(n.Delivered) - int64(n.Dropped); stateLive != inFlight {
+	if inFlight := int64(inj) - int64(st.Delivered) - int64(st.Dropped); stateLive != inFlight {
 		a.Violatef(at, -1, "elec/conservation",
 			"%s: %d live packet states but injected=%d - delivered=%d - dropped=%d = %d in flight",
-			n.name, stateLive, inj, n.Delivered, n.Dropped, inFlight)
+			n.name, stateLive, inj, st.Delivered, st.Dropped, inFlight)
 	}
 
 	var queuedStates int64
@@ -131,9 +129,9 @@ func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
 	}
 
 	if drained {
-		if inj != n.Delivered+n.Dropped {
+		if inj != st.Delivered+st.Dropped {
 			a.Violatef(at, -1, "elec/conservation",
-				"%s: drained with injected=%d delivered=%d dropped=%d", n.name, inj, n.Delivered, n.Dropped)
+				"%s: drained with injected=%d delivered=%d dropped=%d", n.name, inj, st.Delivered, st.Dropped)
 		}
 		if queuedStates != 0 {
 			a.Violatef(at, -1, "elec/queues",
@@ -147,27 +145,6 @@ func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
 		if census.Pending != 0 {
 			a.Violatef(at, -1, "elec/pools",
 				"%s: drained flag set but %d events still queued", n.name, census.Pending)
-		}
-	}
-
-	if a.Tel == nil {
-		return
-	}
-	reg := a.Tel.Reg
-	for _, pair := range [...]struct {
-		name string
-		want uint64
-	}{
-		{"injected", n.Injected},
-		{"delivered", n.Delivered},
-		{"dropped", n.Dropped},
-	} {
-		if reg.Index(pair.name) < 0 {
-			continue // telemetry attached to a different network
-		}
-		if got := reg.Total(pair.name); got != pair.want {
-			a.Violatef(at, -1, "elec/telemetry",
-				"%s: counter %q totals %d but stats say %d", n.name, pair.name, got, pair.want)
 		}
 	}
 }

@@ -10,11 +10,11 @@ import (
 
 // drainCheck runs a workload on a network and asserts lossless exactly-once
 // delivery of every injected packet.
-func drainCheck(t *testing.T, net netsim.Network, injected func() uint64, delivered func() uint64) {
+func drainCheck(t *testing.T, net netsim.Network) {
 	t.Helper()
 	net.Engine().Run()
-	if injected() != delivered() {
-		t.Fatalf("injected %d != delivered %d (lossless network lost packets)", injected(), delivered())
+	if c := net.Counters(); c.Injected != c.Delivered {
+		t.Fatalf("injected %d != delivered %d (lossless network lost packets)", c.Injected, c.Delivered)
 	}
 }
 
@@ -54,8 +54,8 @@ func TestMBZeroLoadLatency(t *testing.T) {
 	if got < lo || got > hi {
 		t.Errorf("zero-load latency = %v, want ~1354ns", got)
 	}
-	if n.Delivered != 1 {
-		t.Errorf("delivered = %d", n.Delivered)
+	if got := n.Counters().Delivered; got != 1 {
+		t.Errorf("delivered = %d", got)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestMBLosslessUnderLoad(t *testing.T) {
 		Seed:           7,
 	}
 	ol.Start(n)
-	drainCheck(t, n, func() uint64 { return n.Injected }, func() uint64 { return n.Delivered })
+	drainCheck(t, n)
 }
 
 func TestMBHotspotBacklogsButDelivers(t *testing.T) {
@@ -88,7 +88,7 @@ func TestMBHotspotBacklogsButDelivers(t *testing.T) {
 		Seed:           9,
 	}
 	ol.Start(n)
-	drainCheck(t, n, func() uint64 { return n.Injected }, func() uint64 { return n.Delivered })
+	drainCheck(t, n)
 	// 63 senders funneling into one ejection point: queueing must push
 	// average latency well above zero-load.
 	if c.AvgNS() < 3000 {
@@ -163,9 +163,9 @@ func TestDragonflyLosslessUnderLoad(t *testing.T) {
 		Seed:           8,
 	}
 	ol.Start(n)
-	drainCheck(t, n, func() uint64 { return n.Injected }, func() uint64 { return n.Delivered })
-	if n.MaxHops > 6 {
-		t.Errorf("max hops = %d, want <= 6 (l-g-l-g-l plus edge)", n.MaxHops)
+	drainCheck(t, n)
+	if n.Counters().MaxHops > 6 {
+		t.Errorf("max hops = %d, want <= 6 (l-g-l-g-l plus edge)", n.Counters().MaxHops)
 	}
 }
 
@@ -185,9 +185,9 @@ func TestDragonflyAdversarialUsesValiant(t *testing.T) {
 		Seed:           5,
 	}
 	ol.Start(n)
-	drainCheck(t, n, func() uint64 { return n.Injected }, func() uint64 { return n.Delivered })
-	if n.MaxHops <= 3 {
-		t.Errorf("max hops = %d; expected Valiant paths under adversarial load", n.MaxHops)
+	drainCheck(t, n)
+	if n.Counters().MaxHops <= 3 {
+		t.Errorf("max hops = %d; expected Valiant paths under adversarial load", n.Counters().MaxHops)
 	}
 }
 
@@ -273,9 +273,9 @@ func TestFatTreeLosslessUnderLoad(t *testing.T) {
 		Seed:           4,
 	}
 	ol.Start(n)
-	drainCheck(t, n, func() uint64 { return n.Injected }, func() uint64 { return n.Delivered })
-	if n.MaxHops > 5 {
-		t.Errorf("max hops = %d, want <= 5", n.MaxHops)
+	drainCheck(t, n)
+	if n.Counters().MaxHops > 5 {
+		t.Errorf("max hops = %d, want <= 5", n.Counters().MaxHops)
 	}
 }
 

@@ -77,30 +77,15 @@ func (c *EngineConfig) slotsPerVC() int {
 	return per
 }
 
-// NetStats are the counters every electrical network keeps. They are
-// accumulated per shard during a run and folded — sums for the counters,
-// max for the hop bound, both invariant to the fold order — into the
-// embedded aggregate by SyncStats. With a single shard the aggregate is
-// updated live.
-type NetStats struct {
-	Injected  uint64
-	Delivered uint64
-	// Dropped counts packets lost to injected faults (dead routers or
-	// ports, degraded links, severed node attachments). The engine is
-	// lossless otherwise, so Dropped is zero in a fault-free run.
-	Dropped uint64
-	MaxHops int
-}
-
 // eshard is one partition of an electrical network: a block of routers and
-// their co-located NICs. Each shard owns an event queue, a NetStats slice
+// their co-located NICs. Each shard owns an event queue, a packet ledger
 // and the free lists its goroutine touches; nothing here is shared between
 // shards during an epoch. Pooled objects (pktState, creditEvent) migrate:
 // they are acquired from the free list of the shard that schedules them and
 // released into the free list of the shard that executes them.
 type eshard struct {
 	sh       *sim.Shard
-	stats    *NetStats
+	stats    *netsim.Counters
 	stFree   *pktState
 	credFree *creditEvent
 	// tp is the shard's telemetry probe; nil (the default) disables
@@ -353,10 +338,11 @@ type engine struct {
 	outStride  int
 	seed       uint64
 
-	// NetStats is the aggregate view (live with one shard; refreshed by
-	// SyncStats — called by Run — otherwise). The embedding promotes
-	// Injected/Delivered/MaxHops onto the concrete network types.
-	NetStats
+	// ledger is the aggregate packet ledger: live with one shard (shard
+	// 0 stores into it), refreshed by SyncStats — called by Run —
+	// otherwise. Dropped counts packets lost to injected faults; the
+	// engine is lossless otherwise.
+	ledger netsim.Counters
 }
 
 // acquireState returns a reset pktState from sh's pool.
@@ -468,9 +454,9 @@ func (n *engine) partition(shards, units int, routerUnit func(int) int, nodeUnit
 	for i := range n.shards {
 		sh := &eshard{sh: n.se.Shard(i)}
 		if k == 1 {
-			sh.stats = &n.NetStats
+			sh.stats = &n.ledger
 		} else {
-			sh.stats = &NetStats{}
+			sh.stats = &netsim.Counters{}
 		}
 		n.shards[i] = sh
 	}
@@ -534,27 +520,20 @@ func (n *engine) ScheduleNode(node int, t sim.Time, ev sim.Event) {
 
 // Counters returns the aggregate ledger as of the last Run
 // (netsim.Network).
-func (n *engine) Counters() netsim.Counters {
-	return netsim.Counters{Injected: n.Injected, Delivered: n.Delivered, Dropped: n.Dropped, MaxHops: n.MaxHops}
-}
+func (n *engine) Counters() netsim.Counters { return n.ledger }
 
-// SyncStats folds per-shard counters into the embedded aggregate. Sums and
-// a max, so the result is invariant to the shard count. Idempotent; no-op
-// with a single shard (the aggregate is live).
+// SyncStats folds per-shard ledgers into the aggregate (Counters.Add: sums
+// and a max, so the result is invariant to the shard count). Idempotent;
+// no-op with a single shard (the aggregate is live).
 func (n *engine) SyncStats() {
 	if len(n.shards) == 1 {
 		return
 	}
-	var agg NetStats
+	var agg netsim.Counters
 	for _, sh := range n.shards {
-		agg.Injected += sh.stats.Injected
-		agg.Delivered += sh.stats.Delivered
-		agg.Dropped += sh.stats.Dropped
-		if sh.stats.MaxHops > agg.MaxHops {
-			agg.MaxHops = sh.stats.MaxHops
-		}
+		agg.Add(*sh.stats)
 	}
-	n.NetStats = agg
+	n.ledger = agg
 }
 
 // Send creates a packet and enqueues it at src's NIC. In sharded runs it
@@ -578,7 +557,6 @@ func (n *engine) Send(src, dst, size int) *netsim.Packet {
 	}
 	nic.sh.stats.Injected++
 	if tp := nic.sh.tp; tp != nil {
-		tp.injected.Inc()
 		if tp.ring != nil {
 			tp.ring.Add(telemetry.Record{
 				At: p.Created, Pkt: p.ID, Kind: telemetry.KindInject,
@@ -859,14 +837,11 @@ func (n *engine) scheduleCreditReturn(from *router, in int16, vc int, tailAt sim
 
 func (n *engine) deliver(sh *eshard, p *netsim.Packet, at sim.Time) {
 	sh.stats.Delivered++
-	if tp := sh.tp; tp != nil {
-		tp.delivered.Inc()
-		if tp.ring != nil {
-			tp.ring.Add(telemetry.Record{
-				At: at, Pkt: p.ID, Kind: telemetry.KindDeliver,
-				Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
-			})
-		}
+	if tp := sh.tp; tp != nil && tp.ring != nil {
+		tp.ring.Add(telemetry.Record{
+			At: at, Pkt: p.ID, Kind: telemetry.KindDeliver,
+			Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
+		})
 	}
 	for _, fn := range n.onDeliver {
 		fn(p, at)

@@ -14,9 +14,7 @@ type Ideal struct {
 	onDeliver []func(*netsim.Packet, sim.Time)
 	nextID    uint64
 	evFree    *idealEvent
-
-	Injected  uint64
-	Delivered uint64
+	ledger    netsim.Counters
 }
 
 // idealEvent is the pooled delivery event of one in-flight packet.
@@ -31,7 +29,7 @@ func (ev *idealEvent) Run(e *sim.Engine) {
 	ev.p = nil
 	ev.next = n.evFree
 	n.evFree = ev
-	n.Delivered++
+	n.ledger.Delivered++
 	at := e.Now()
 	for _, fn := range n.onDeliver {
 		fn(p, at)
@@ -59,15 +57,13 @@ func (n *Ideal) OnDeliver(fn func(p *netsim.Packet, at sim.Time)) {
 }
 
 // Counters returns the injected and delivered ledger (netsim.Network).
-func (n *Ideal) Counters() netsim.Counters {
-	return netsim.Counters{Injected: n.Injected, Delivered: n.Delivered}
-}
+func (n *Ideal) Counters() netsim.Counters { return n.ledger }
 
 // Send delivers the packet exactly 200 ns later, no queueing, no drops.
 func (n *Ideal) Send(src, dst, size int) *netsim.Packet {
 	n.nextID++
 	p := &netsim.Packet{ID: n.nextID, Src: src, Dst: dst, Size: size, Created: n.eng.Now()}
-	n.Injected++
+	n.ledger.Injected++
 	ev := n.evFree
 	if ev != nil {
 		n.evFree = ev.next

@@ -9,7 +9,7 @@ import (
 )
 
 type eshardResult struct {
-	stats     NetStats
+	stats     netsim.Counters
 	events    uint64
 	delivered uint64
 	avgNS     float64
@@ -33,17 +33,13 @@ func runShardedElec(t *testing.T, net netsim.Network, seed uint64) eshardResult 
 		t.Fatal("run hit the horizon")
 	}
 	return eshardResult{
-		stats:     net.(interface{ netStats() NetStats }).netStats(),
+		stats:     net.Counters(),
 		events:    netsim.Events(net),
 		delivered: col.Delivered(),
 		avgNS:     col.AvgNS(),
 		tailNS:    col.TailNS(),
 	}
 }
-
-// netStats exposes the folded aggregate for the test (promoted fields are
-// not addressable through the Network interface).
-func (n *engine) netStats() NetStats { return n.NetStats }
 
 func checkShardedElec(t *testing.T, name string, build func(shards int) netsim.Network) {
 	t.Helper()
@@ -110,7 +106,7 @@ func TestElecShardedEpochsProgress(t *testing.T) {
 	if n.Epochs() == 0 {
 		t.Error("sharded run advanced zero epochs")
 	}
-	if n.Injected != n.Delivered || n.Injected == 0 {
-		t.Errorf("injected %d delivered %d", n.Injected, n.Delivered)
+	if c := n.Counters(); c.Injected != c.Delivered || c.Injected == 0 {
+		t.Errorf("injected %d delivered %d", c.Injected, c.Delivered)
 	}
 }

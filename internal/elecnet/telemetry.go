@@ -1,19 +1,18 @@
 package elecnet
 
 import (
+	"baldur/internal/netsim"
 	"baldur/internal/telemetry"
 )
 
 // elecProbe is one shard's resolved telemetry handles for the buffered
 // router engine. A nil probe (the default) disables recording; every hook
-// is guarded by that single nil check.
+// is guarded by that single nil check. The ledger counters have no handles
+// here: telemetry reads them from the shard's stored ledger at each sample.
 type elecProbe struct {
-	injected  telemetry.Count
-	delivered telemetry.Count
-	dropped   telemetry.Count
-	hops      telemetry.Count
-	blocks    telemetry.Count
-	ring      *telemetry.Ring
+	hops   telemetry.Count
+	blocks telemetry.Count
+	ring   *telemetry.Ring
 	// traceEvery is the resolved 1-in-N lifecycle-trace sampling rate
 	// (0: span capture off). Nonzero only when ring is non-nil.
 	traceEvery int
@@ -22,24 +21,20 @@ type elecProbe struct {
 // AttachTelemetry registers the electrical networks' metrics and resolves
 // per-shard probes (netsim.Instrumented). It instruments the shared router
 // engine, so the multi-butterfly, dragonfly and fat-tree all report the
-// same schema. Call before the run starts, at most once.
+// same schema; the injected/delivered/dropped counters are read from each
+// shard's stored ledger at every sample (netsim.SampleLedger). Call before
+// the run starts, at most once.
 func (n *engine) AttachTelemetry(tel *telemetry.Telemetry) {
 	reg := tel.Reg
-	injected := reg.Counter("injected")
-	delivered := reg.Counter("delivered")
-	dropped := reg.Counter("dropped")
+	ledgers := make([]*netsim.Counters, len(n.shards))
+	for i, sh := range n.shards {
+		ledgers[i] = sh.stats
+	}
+	netsim.SampleLedger(tel, ledgers, "injected", "delivered", "dropped")
 	hops := reg.Counter("hops")
 	blocks := reg.Counter("blocks")
-	srcQueued := reg.Gauge("src_queued")
-	netQueued := reg.Gauge("net_queued")
-	inFlight := reg.Gauge("in_flight")
-	portsBusy := reg.Gauge("ports_busy")
-	portsTotal := reg.Gauge("ports_total")
 	for i, sh := range n.shards {
 		sh.tp = &elecProbe{
-			injected:   reg.Count(injected, i),
-			delivered:  reg.Count(delivered, i),
-			dropped:    reg.Count(dropped, i),
 			hops:       reg.Count(hops, i),
 			blocks:     reg.Count(blocks, i),
 			ring:       tel.Ring(i),
@@ -49,11 +44,11 @@ func (n *engine) AttachTelemetry(tel *telemetry.Telemetry) {
 	// Gauge refresh runs at sample barriers only — shard goroutines are
 	// parked, so walking every NIC and router is safe. Values land in shard
 	// 0's slots (gauges are instants, not sums).
-	gSrc := reg.Count(srcQueued, 0)
-	gNet := reg.Count(netQueued, 0)
-	gFlight := reg.Count(inFlight, 0)
-	gBusy := reg.Count(portsBusy, 0)
-	gTotal := reg.Count(portsTotal, 0)
+	gSrc := reg.Count(reg.Gauge("src_queued"), 0)
+	gNet := reg.Count(reg.Gauge("net_queued"), 0)
+	gFlight := reg.Count(reg.Gauge("in_flight"), 0)
+	gBusy := reg.Count(reg.Gauge("ports_busy"), 0)
+	gTotal := reg.Count(reg.Gauge("ports_total"), 0)
 	tel.OnProbe(func() {
 		var src, queued uint64
 		for ni := range n.nics {
@@ -75,13 +70,11 @@ func (n *engine) AttachTelemetry(tel *telemetry.Telemetry) {
 		gSrc.Set(src)
 		gNet.Set(queued)
 		// In flight = injected but neither delivered nor faulted away.
-		var inj, del, drop uint64
-		for _, sh := range n.shards {
-			inj += sh.stats.Injected
-			del += sh.stats.Delivered
-			drop += sh.stats.Dropped
+		var c netsim.Counters
+		for _, l := range ledgers {
+			c.Add(*l)
 		}
-		gFlight.Set(inj - del - drop)
+		gFlight.Set(c.Injected - c.Delivered - c.Dropped)
 		gBusy.Set(busy)
 		gTotal.Set(total)
 	})

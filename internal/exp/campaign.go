@@ -130,12 +130,9 @@ type CellResult struct {
 	Seed     uint64
 	Script   string
 
-	Injected        uint64
-	Delivered       uint64
-	GaveUp          uint64
-	FaultDrops      uint64
-	Dropped         uint64
-	Retransmissions uint64
+	// Counters is the cell's packet ledger at the end of the run; the
+	// campaign compares it across shard counts.
+	netsim.Counters
 
 	// DeliveredFrac is delivered / injected (1 when nothing was injected).
 	DeliveredFrac float64
@@ -157,8 +154,6 @@ type CellResult struct {
 	Finished    bool
 	Checkpoints int
 	Violations  []check.Violation
-
-	fp netsim.Counters
 }
 
 func (c *CellResult) id() string {
@@ -274,17 +269,10 @@ func runCampaignCell(spec CampaignSpec, netName string, nodesExp, loadPct, shard
 			return res, err
 		}
 	}
-	fp := net.Counters()
-	res.fp = fp
-	res.Injected = fp.Injected
-	res.Delivered = fp.Delivered
-	res.GaveUp = fp.GaveUp
-	res.FaultDrops = fp.FaultDrops
-	res.Dropped = fp.Dropped
-	res.Retransmissions = fp.Retransmissions
+	res.Counters = net.Counters()
 	res.DeliveredFrac = 1
-	if fp.Injected > 0 {
-		res.DeliveredFrac = float64(fp.Delivered) / float64(fp.Injected)
+	if res.Injected > 0 {
+		res.DeliveredFrac = float64(res.Delivered) / float64(res.Injected)
 	}
 	res.TailNS = run.col.TailNS()
 	res.TailInflation = 1
@@ -380,6 +368,9 @@ func enumCells(spec CampaignSpec) []campaignCellKey {
 // any divergence is a simulator bug and fails the campaign immediately.
 func RunCampaign(spec CampaignSpec) (*CampaignReport, error) {
 	spec = spec.withDefaults()
+	if spec.SliceUS < 0 {
+		return nil, fmt.Errorf("exp: campaign %q: slice_us %g is negative", spec.Name, spec.SliceUS)
+	}
 	if spec.Workload != nil {
 		if err := spec.Workload.Validate(); err != nil {
 			return nil, fmt.Errorf("exp: campaign %q: %w", spec.Name, err)
@@ -410,7 +401,7 @@ func RunCampaign(spec CampaignSpec) (*CampaignReport, error) {
 	for i := range cells {
 		cell := cells[i]
 		if cell.Script == BaselineScript {
-			baselines[cell.baseKey()] = cell.fp
+			baselines[cell.baseKey()] = cell.Counters
 			baseTails[cell.baseKey()] = cell.TailNS
 		} else {
 			base := baselines[cell.baseKey()]
@@ -418,14 +409,14 @@ func RunCampaign(spec CampaignSpec) (*CampaignReport, error) {
 				cell.TailInflation = cell.TailNS / bt
 			}
 			if br := retxRatio(base); br > 0 {
-				cell.RetxAmp = retxRatio(cell.fp) / br
+				cell.RetxAmp = retxRatio(cell.Counters) / br
 			}
 		}
 		if prev, ok := invariant[cell.invKey()]; ok {
-			if prev.fp != cell.fp {
+			if prev.Counters != cell.Counters {
 				return nil, fmt.Errorf(
 					"exp: campaign %q: shard-count divergence on %s:\n  %d shards: %+v\n  %d shards: %+v",
-					spec.Name, cell.invKey(), prev.Shards, prev.fp, cell.Shards, cell.fp)
+					spec.Name, cell.invKey(), prev.Shards, prev.Counters, cell.Shards, cell.Counters)
 			}
 		} else {
 			c := cell

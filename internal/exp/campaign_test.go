@@ -189,6 +189,20 @@ func TestCampaignExampleSpec(t *testing.T) {
 	}
 }
 
+// TestCampaignRejectsNegativeSlice checks a negative slice width is refused
+// up front: driven as is, every barrier would step backwards in virtual time
+// and the campaign would never return.
+func TestCampaignRejectsNegativeSlice(t *testing.T) {
+	spec, err := ParseCampaign([]byte(`{"name":"neg","grid":{"nets":["baldur"],"nodes_exp":[3],"packets_per_node":4},"slice_us":-1,"scripts":[]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunCampaign(spec)
+	if err == nil || !strings.Contains(err.Error(), "slice_us") {
+		t.Fatalf("RunCampaign error = %v, want one naming slice_us", err)
+	}
+}
+
 // TestCampaignReportRendering checks the CSV and table renderers emit one
 // row per cell / aggregate with the availability columns present.
 func TestCampaignReportRendering(t *testing.T) {

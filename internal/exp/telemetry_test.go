@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -38,46 +39,77 @@ func runTelemetryCell(t *testing.T, pattern string, load float64, shards int, op
 }
 
 // TestTelemetryCountersMatchRunStatistics checks the tentpole accounting
-// invariant: summing the sampled per-interval counter deltas reproduces the
-// end-of-run model statistics exactly. random_permutation at 0.5 is used
-// because the seeded Quick run drops packets there, exercising the drop
-// counters with nonzero values.
+// invariant: for every ledger counter a network registers, summing the
+// sampled per-interval deltas — and the registry total — reproduces the
+// end-of-run ledger exactly. Baldur's random_permutation at 0.5 drops
+// packets in the seeded Quick run, exercising the drop counters with nonzero
+// values; the fat-tree cell runs sharded, so its ledger is read from two
+// shards' slots.
 func TestTelemetryCountersMatchRunStatistics(t *testing.T) {
-	_, net, tel, col := runTelemetryCell(t, "random_permutation", 0.5, 0, telemetry.Options{})
-	st := net.Stats
-	for _, c := range []struct {
-		name string
-		want uint64
+	ledger := map[string]func(netsim.Counters) uint64{
+		"injected":        func(c netsim.Counters) uint64 { return c.Injected },
+		"delivered":       func(c netsim.Counters) uint64 { return c.Delivered },
+		"duplicates":      func(c netsim.Counters) uint64 { return c.Duplicates },
+		"data_attempts":   func(c netsim.Counters) uint64 { return c.DataAttempts },
+		"data_drops":      func(c netsim.Counters) uint64 { return c.DataDrops },
+		"ack_attempts":    func(c netsim.Counters) uint64 { return c.AckAttempts },
+		"ack_drops":       func(c netsim.Counters) uint64 { return c.AckDrops },
+		"retransmissions": func(c netsim.Counters) uint64 { return c.Retransmissions },
+		"dropped":         func(c netsim.Counters) uint64 { return c.Dropped },
+	}
+	for _, tc := range []struct {
+		network string
+		shards  int
+		names   []string
 	}{
-		{"injected", st.Injected},
-		{"delivered", st.Delivered},
-		{"duplicates", st.Duplicates},
-		{"data_attempts", st.DataAttempts},
-		{"data_drops", st.DataDrops},
-		{"ack_attempts", st.AckAttempts},
-		{"ack_drops", st.AckDrops},
-		{"retransmissions", st.Retransmissions},
+		{"baldur", 1, []string{"injected", "delivered", "duplicates", "data_attempts",
+			"data_drops", "ack_attempts", "ack_drops", "retransmissions"}},
+		{"fattree", 2, []string{"injected", "delivered", "dropped"}},
 	} {
-		id := tel.Reg.Index(c.name)
-		if id < 0 {
-			t.Fatalf("counter %q not registered", c.name)
-		}
-		var sum uint64
-		for _, sm := range tel.Sampler.Samples {
-			sum += sm.Values[id]
-		}
-		if sum != c.want {
-			t.Errorf("summed %s deltas = %d, want model total %d", c.name, sum, c.want)
-		}
-		if got := tel.Reg.Total(c.name); got != c.want {
-			t.Errorf("registry total %s = %d, want %d", c.name, got, c.want)
-		}
-	}
-	if st.DataDrops == 0 {
-		t.Error("seeded run produced no drops; drop accounting untested")
-	}
-	if got := tel.Reg.Total("delivered"); got != col.Delivered() {
-		t.Errorf("delivered counter %d != collector %d", got, col.Delivered())
+		t.Run(tc.network, func(t *testing.T) {
+			sc := Quick
+			sc.Shards = tc.shards
+			sc.Telemetry = &telemetry.Options{}
+			var col netsim.Collector
+			_, net, tel, err := runOpenLoopCell(&col, tc.network, "random_permutation", 0.5, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := netsim.NumShards(net); got != tc.shards {
+				t.Fatalf("ran on %d shards, want %d", got, tc.shards)
+			}
+			want := net.Counters()
+			for name := range ledger {
+				if tel.Reg.Index(name) >= 0 && !slices.Contains(tc.names, name) {
+					t.Errorf("unexpected ledger counter %q registered", name)
+				}
+			}
+			for _, name := range tc.names {
+				id := tel.Reg.Index(name)
+				if id < 0 {
+					t.Fatalf("counter %q not registered", name)
+				}
+				var sum uint64
+				for _, sm := range tel.Sampler.Samples {
+					sum += sm.Values[id]
+				}
+				if w := ledger[name](want); sum != w {
+					t.Errorf("summed %s deltas = %d, want ledger total %d", name, sum, w)
+				}
+				if got, w := tel.Reg.Total(name), ledger[name](want); got != w {
+					t.Errorf("registry total %s = %d, want %d", name, got, w)
+				}
+			}
+			if want.Injected == 0 {
+				t.Error("seeded run injected nothing")
+			}
+			if tc.network == "baldur" && want.DataDrops == 0 {
+				t.Error("seeded run produced no drops; drop accounting untested")
+			}
+			if got := tel.Reg.Total("delivered"); got != col.Delivered() {
+				t.Errorf("delivered counter %d != collector %d", got, col.Delivered())
+			}
+		})
 	}
 }
 

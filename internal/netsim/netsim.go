@@ -93,9 +93,10 @@ type Network interface {
 
 // Counters is a network's packet ledger: the counters the conservation
 // audit reconciles and the differential compares across shard counts.
-// Networks fill the fields their model has and leave the rest zero (the
-// electrical networks keep no attempts or retransmissions; Baldur keeps no
-// hop bound).
+// Every network stores its ledger in this type — one per shard, folded into
+// an aggregate with Add at each Run boundary. Networks fill the fields
+// their model has and leave the rest zero (the electrical networks keep no
+// attempts or retransmissions; Baldur keeps no hop bound).
 type Counters struct {
 	Injected        uint64 // unique data packets handed to Send
 	Delivered       uint64 // unique data packets delivered
@@ -105,10 +106,34 @@ type Counters struct {
 	AckAttempts     uint64
 	AckDrops        uint64
 	Retransmissions uint64
-	GaveUp          uint64 // data packets abandoned unacknowledged
-	FaultDrops      uint64 // transmissions lost to injected faults
-	Dropped         uint64 // packets lost to faults on lossless networks
-	MaxHops         int
+	// GaveUp counts data packets abandoned unacknowledged at the attempt
+	// cap: the sender cleared them from its retransmission buffer.
+	GaveUp uint64
+	// FaultDrops counts transmissions lost to injected faults. On Baldur
+	// it is a subset of DataDrops+AckDrops, never an extra loss category.
+	FaultDrops uint64
+	// Dropped counts packets lost to faults on the lossless electrical
+	// networks (zero in a fault-free run).
+	Dropped uint64
+	MaxHops int
+}
+
+// Add folds o into c: sums for the counters, max for the hop bound. Both
+// are invariant to the fold order, so a ledger folded across shards is
+// identical for any shard count.
+func (c *Counters) Add(o Counters) {
+	c.Injected += o.Injected
+	c.Delivered += o.Delivered
+	c.Duplicates += o.Duplicates
+	c.DataAttempts += o.DataAttempts
+	c.DataDrops += o.DataDrops
+	c.AckAttempts += o.AckAttempts
+	c.AckDrops += o.AckDrops
+	c.Retransmissions += o.Retransmissions
+	c.GaveUp += o.GaveUp
+	c.FaultDrops += o.FaultDrops
+	c.Dropped += o.Dropped
+	c.MaxHops = max(c.MaxHops, o.MaxHops)
 }
 
 // DataDropRate returns dropped / attempted data transmissions (0 with no
@@ -118,6 +143,53 @@ func (c Counters) DataDropRate() float64 {
 		return 0
 	}
 	return float64(c.DataDrops) / float64(c.DataAttempts)
+}
+
+// ledgerMetrics maps the telemetry counter names of the ledger fields to
+// their readers.
+var ledgerMetrics = map[string]func(*Counters) uint64{
+	"injected":        func(c *Counters) uint64 { return c.Injected },
+	"delivered":       func(c *Counters) uint64 { return c.Delivered },
+	"duplicates":      func(c *Counters) uint64 { return c.Duplicates },
+	"data_attempts":   func(c *Counters) uint64 { return c.DataAttempts },
+	"data_drops":      func(c *Counters) uint64 { return c.DataDrops },
+	"ack_attempts":    func(c *Counters) uint64 { return c.AckAttempts },
+	"ack_drops":       func(c *Counters) uint64 { return c.AckDrops },
+	"retransmissions": func(c *Counters) uint64 { return c.Retransmissions },
+	"dropped":         func(c *Counters) uint64 { return c.Dropped },
+}
+
+// SampleLedger registers the named ledger fields as telemetry counters, in
+// the given order, and hooks a probe that sets each shard's slot from that
+// shard's stored ledger (shards[i] belongs to shard i) at every sample. The
+// model keeps one copy of each counter; telemetry reads it at barriers
+// instead of counting beside it. Reg.Total of a ledger counter is therefore
+// current as of the last sample: Drive samples at its final boundary and
+// the trace replayer at drain, so readers after a run see end-of-run values.
+func SampleLedger(tel *telemetry.Telemetry, shards []*Counters, names ...string) {
+	type series struct {
+		get   func(*Counters) uint64
+		slots []telemetry.Count
+	}
+	all := make([]series, len(names))
+	for j, name := range names {
+		get, ok := ledgerMetrics[name]
+		if !ok {
+			panic("netsim: unknown ledger metric " + name)
+		}
+		id := tel.Reg.Counter(name)
+		all[j] = series{get: get, slots: make([]telemetry.Count, len(shards))}
+		for i := range shards {
+			all[j].slots[i] = tel.Reg.Count(id, i)
+		}
+	}
+	tel.OnProbe(func() {
+		for _, s := range all {
+			for i, c := range shards {
+				s.slots[i].Set(s.get(c))
+			}
+		}
+	})
 }
 
 // Sharded is implemented by networks that support multi-shard parallel
