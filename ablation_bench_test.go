@@ -42,7 +42,7 @@ func BenchmarkAblationRandomWiring(b *testing.B) {
 	var random, regular float64
 	for i := 0; i < b.N; i++ {
 		random = rawDrop(b, core.Config{Nodes: 256, Multiplicity: 4, Seed: 3})
-		regular = rawDrop(b, core.Config{Nodes: 256, Multiplicity: 4, Seed: 3, RegularWiring: true})
+		regular = rawDrop(b, core.Config{Nodes: 256, Multiplicity: 4, Seed: 3, Topology: "butterfly"})
 	}
 	b.ReportMetric(random*100, "random_drop_%")
 	b.ReportMetric(regular*100, "regular_drop_%")

@@ -70,16 +70,13 @@ type Config struct {
 	// switches, severed links — still drain. 0 means unlimited, the
 	// paper's protocol.
 	MaxAttempts int
-	// RegularWiring replaces the randomized inter-stage matchings with a
-	// classic deterministic butterfly (ablation of the expansion
-	// property: without randomization the network is not immune to
-	// worst-case permutations, Sec IV-E). Equivalent to
-	// Topology == "butterfly".
-	RegularWiring bool
 	// Topology selects the multi-stage wiring: "" or "multibutterfly"
-	// (randomized matchings, the paper's design), "butterfly" (regular,
-	// ablation) or "omega" (perfect-shuffle stages — the paper expects
-	// equivalent behaviour across multi-stage topologies, Sec IV).
+	// (randomized matchings, the paper's design), "butterfly" (a classic
+	// deterministic butterfly — the ablation of the expansion property:
+	// without randomization the network is not immune to worst-case
+	// permutations, Sec IV-E) or "omega" (perfect-shuffle stages — the
+	// paper expects equivalent behaviour across multi-stage topologies,
+	// Sec IV).
 	Topology string
 	// Wavelengths enables wavelength-division multiplexing on the
 	// network wires: each inter-stage wire carries this many independent

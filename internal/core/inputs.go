@@ -33,11 +33,7 @@ type AnalyticalInputs struct {
 // buildTopo constructs the configured multi-stage wiring. cfg must already
 // have defaults applied.
 func buildTopo(cfg Config) (*topo.MultiButterfly, error) {
-	topoName := cfg.Topology
-	if cfg.RegularWiring {
-		topoName = "butterfly"
-	}
-	switch topoName {
+	switch cfg.Topology {
 	case "", "multibutterfly":
 		return topo.NewMultiButterfly(cfg.Nodes, cfg.Multiplicity, cfg.Seed)
 	case "butterfly":

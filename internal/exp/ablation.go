@@ -99,7 +99,7 @@ func ablations(sc Scale) []ablation {
 		},
 		sides: [2]ablationSide{
 			{"random", "baldur", baldur(core.Config{Multiplicity: 4, DisableRetransmit: true}), transpose, 0, dropPct},
-			{"regular", "baldur", baldur(core.Config{Multiplicity: 4, DisableRetransmit: true, RegularWiring: true}), transpose, 0, dropPct},
+			{"regular", "baldur", baldur(core.Config{Multiplicity: 4, DisableRetransmit: true, Topology: "butterfly"}), transpose, 0, dropPct},
 		},
 	}, {
 		row: AblationRow{

@@ -143,3 +143,25 @@ func TestSpanAuditArmedOnPingPongAndWorkload(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanAuditArmedOnTraceReplay: a traced, audited trace-replay cell gets
+// the auditor and the in-run span audit like every other packet-level cell,
+// and runs clean with traced deliveries witnessed.
+func TestSpanAuditArmedOnTraceReplay(t *testing.T) {
+	var witnessed []int
+	onSpanAudit = func(a *check.SpanAudit) { witnessed = append(witnessed, a.Witnessed()) }
+	defer func() { onSpanAudit = nil }()
+	sc := Quick
+	sc.Audit = &check.Options{}
+	sc.Telemetry = &telemetry.Options{FlightRecords: 1 << 17, TraceSample: 4}
+	p, err := RunTrace("baldur", "FB", sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Finished {
+		t.Error("traced, audited replay did not finish")
+	}
+	if len(witnessed) != 1 || witnessed[0] == 0 {
+		t.Errorf("span audit witnessed %v, want one armed audit with traced deliveries", witnessed)
+	}
+}

@@ -241,7 +241,7 @@ func runCampaignCell(spec CampaignSpec, netName string, nodesExp, loadPct, shard
 	c.drive = netsim.DriveOptions{
 		Interval: sim.Microseconds(spec.SliceUS),
 		Script:   ctrl,
-		Observe: func(at sim.Time, drained bool) {
+		Observe: func(at sim.Time, drained bool) bool {
 			fp := net.Counters()
 			outstanding := int64(fp.Injected) - int64(fp.Delivered) - int64(fp.GaveUp) - int64(fp.Dropped)
 			if fp.Delivered == prevDelivered && outstanding > 0 {
@@ -257,6 +257,7 @@ func runCampaignCell(spec CampaignSpec, netName string, nodesExp, loadPct, shard
 				inWindow = false
 			}
 			prevDelivered, prevAt = fp.Delivered, at
+			return false
 		},
 	}
 	run, err := runCell(net, nil, start, c)

@@ -25,9 +25,6 @@ type cellSpec struct {
 	// drive holds the boundary hooks beyond the observers (slice width,
 	// fault script, Observe); runCell sets its Tel and Aud.
 	drive netsim.DriveOptions
-	// run, when set, replaces netsim.Drive for cells that bring their own
-	// driver (trace replay); it returns whether work remained.
-	run func(tel *telemetry.Telemetry) (more bool, err error)
 	// keepViolations leaves audit violations on the returned auditor
 	// instead of failing the cell: campaign cells report them per row.
 	keepViolations bool
@@ -96,15 +93,10 @@ func runCell(net netsim.Network, col *netsim.Collector, start func(netsim.Networ
 	if r.aud != nil && r.tel != nil && r.tel.TraceEvery() > 0 {
 		spans = netsim.AttachSpanAudit(net)
 	}
+	opts := c.drive
+	opts.Tel, opts.Aud = r.tel, r.aud
 	var err error
-	if c.run != nil {
-		r.more, err = c.run(r.tel)
-	} else {
-		opts := c.drive
-		opts.Tel, opts.Aud = r.tel, r.aud
-		r.more, err = netsim.Drive(net, c.deadline, opts)
-	}
-	if err != nil {
+	if r.more, err = netsim.Drive(net, c.deadline, opts); err != nil {
 		return r, err
 	}
 	if spans != nil {

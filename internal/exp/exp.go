@@ -61,7 +61,8 @@ type Scale struct {
 	TelemetryPerCell bool
 	// Watchdog is the trace-replay progress watchdog window: if no rank
 	// advances for this much simulated time while events keep executing,
-	// the replay stops with a stuck-rank report (0 disables).
+	// the replay stops with a stuck-rank report (0 disables). It is checked
+	// at the run's slice boundaries, so it trips at slice granularity.
 	Watchdog sim.Duration
 	// Fidelity selects the model tier for open-loop cells: packet (the
 	// event-level engine, the default) or twin (the analytical flow-level

@@ -3,6 +3,8 @@ package exp
 import (
 	"strings"
 	"testing"
+
+	"baldur/internal/sim"
 )
 
 // tiny returns a minimal scale for fast harness tests.
@@ -220,6 +222,40 @@ func TestUnknownNamesError(t *testing.T) {
 	}
 	if _, err := RunTrace("baldur", "nope", tiny()); err == nil {
 		t.Error("unknown workload accepted")
+	}
+}
+
+// TestRunTraceReportsDropsAndEvents: a trace cell reports the run's data
+// drop rate and event count the way every other packet-level cell does. FB
+// on the quick Baldur drops data packets (the reliability protocol
+// retransmits them).
+func TestRunTraceReportsDropsAndEvents(t *testing.T) {
+	p, err := RunTrace("baldur", "FB", Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Finished {
+		t.Fatal("FB replay did not finish")
+	}
+	if p.DropRate <= 0 || p.DropRate >= 1 {
+		t.Errorf("drop rate = %v, want the run's data drops per attempt", p.DropRate)
+	}
+	if p.Events == 0 {
+		t.Error("events = 0 for a replay that ran")
+	}
+}
+
+// TestRunTraceHonoursSafetyHorizon: a trace cell stops at MaxSimTime like
+// every other cell and reports that it did not finish.
+func TestRunTraceHonoursSafetyHorizon(t *testing.T) {
+	sc := Quick
+	sc.MaxSimTime = 10 * sim.Microsecond
+	p, err := RunTrace("baldur", "FB", sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Finished {
+		t.Error("replay cut at a 10us horizon reported Finished")
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 	"baldur/internal/packaging"
 	"baldur/internal/power"
 	"baldur/internal/reliability"
+	"baldur/internal/sim"
 	"baldur/internal/stats"
-	"baldur/internal/telemetry"
 	"baldur/internal/tl"
 	"baldur/internal/trace"
 	"baldur/internal/traffic"
@@ -239,7 +239,8 @@ func Fig7(sc Scale, networks []string) ([]Fig7Row, error) {
 
 // RunTrace replays a named HPC workload on a network. Trace replay drives
 // the engine through serial closure callbacks, so the network is always
-// built unsharded.
+// built unsharded. The replay's progress watchdog rides on the run's
+// boundaries, and every packet is measured (no warmup).
 func RunTrace(network, workload string, sc Scale) (Point, error) {
 	sc.Shards = 0
 	net, err := build(network, sc)
@@ -257,27 +258,24 @@ func RunTrace(network, workload string, sc Scale) (Point, error) {
 	if sc.Telemetry != nil {
 		label = fmt.Sprintf("%s-%s", network, workload)
 	}
-	// The replayer keeps its own watchdog driver in place of netsim.Drive.
-	// It has no audit checkpoints and measures every packet, so the cell
-	// runs unaudited and without warmup.
 	c := sc.cell(network, workload, label)
-	c.aud, c.warmup = nil, 0
+	c.warmup = 0
 	var rep *trace.Replayer
-	c.run = func(tel *telemetry.Telemetry) (bool, error) {
-		rep.Watchdog = sc.Watchdog
-		rep.Tel = tel
-		st := rep.Run()
-		if st.Stuck != nil {
-			fmt.Fprintln(os.Stderr, st.Stuck.String())
-		}
-		return !st.Completed, nil
-	}
+	c.drive.Observe = func(at sim.Time, drained bool) bool { return rep.Watch(at, drained) }
 	run, err := runCell(net, nil, func(n netsim.Network) (err error) {
-		rep, err = trace.NewReplayer(n, w)
-		return err
+		if rep, err = trace.NewReplayer(n, w); err != nil {
+			return err
+		}
+		rep.Watchdog = sc.Watchdog
+		rep.Start()
+		return nil
 	}, c)
 	if err != nil {
 		return Point{}, err
+	}
+	st := rep.Stats(run.more)
+	if st.Stuck != nil {
+		fmt.Fprintln(os.Stderr, st.Stuck.String())
 	}
 	if err := writeTelemetry(run.tel, sc, label); err != nil {
 		return Point{}, err
@@ -286,7 +284,9 @@ func RunTrace(network, workload string, sc Scale) (Point, error) {
 		Network:  network,
 		AvgNS:    run.col.AvgNS(),
 		TailNS:   run.col.TailNS(),
-		Finished: !run.more,
+		DropRate: net.Counters().DataDropRate(),
+		Finished: st.Completed && !run.more,
+		Events:   netsim.Events(net),
 	}, nil
 }
 

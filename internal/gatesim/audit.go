@@ -37,33 +37,31 @@ func (c *Circuit) AttachAudit(a *check.Auditor) {
 	})
 }
 
-// RunAudited drives the circuit like RunSampled and additionally runs an
-// audit checkpoint at every slice boundary plus a final one at the deadline.
-// With a nil aud it is exactly RunSampled. When both layers are attached the
-// telemetry interval drives the slicing.
-func (c *Circuit) RunAudited(until Fs, tel *telemetry.Telemetry, aud *check.Auditor) {
-	if aud == nil {
-		c.RunSampled(until, tel)
+// RunSliced drives the circuit to the deadline in slices, taking a
+// telemetry sample and an audit checkpoint (either layer may be nil) at
+// every boundary up to and including the deadline. The slice width is the
+// telemetry interval when tel is set, else the audit interval. With neither
+// layer it is exactly Run.
+func (c *Circuit) RunSliced(until Fs, tel *telemetry.Telemetry, aud *check.Auditor) {
+	if tel == nil && aud == nil {
+		c.Run(until)
 		return
 	}
-	iv := aud.Interval()
+	var iv sim.Duration
 	if tel != nil {
 		iv = tel.Interval()
+	} else {
+		iv = aud.Interval()
 	}
 	end := sim.Time(until)
-	for t := c.eng.Now().Add(iv); t < end; t = t.Add(iv) {
+	for t := c.eng.Now(); t < end; {
+		t = min(t.Add(iv), end)
 		more := c.eng.RunUntil(t)
 		if tel != nil {
 			tel.Sample(t, c.eng.Executed, 0)
 		}
-		aud.Checkpoint(t, !more)
-		if !more {
-			return
+		if aud != nil {
+			aud.Checkpoint(t, !more)
 		}
 	}
-	more := c.eng.RunUntil(end)
-	if tel != nil {
-		tel.Sample(end, c.eng.Executed, 0)
-	}
-	aud.Checkpoint(end, !more)
 }

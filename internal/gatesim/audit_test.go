@@ -16,7 +16,7 @@ func TestRunAuditedClean(t *testing.T) {
 	aud := check.New(check.Options{Interval: 5000}) // 5 ps slices in engine ticks (fs)
 	c.AttachAudit(aud)
 	c.PlaySignal(in, pulseAt(10000, 5000))
-	c.RunAudited(100000, nil, aud)
+	c.RunSliced(100000, nil, aud)
 
 	if err := aud.Err(); err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestRunAuditedCatchesLeak(t *testing.T) {
 	c.AttachAudit(aud)
 	c.aud.lvl.Get() // simulate an acquired-but-never-freed levelEvent
 	c.PlaySignal(in, pulseAt(10000, 5000))
-	c.RunAudited(100000, nil, aud)
+	c.RunSliced(100000, nil, aud)
 
 	vs := aud.Violations()
 	if len(vs) == 0 {

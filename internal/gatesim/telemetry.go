@@ -1,7 +1,6 @@
 package gatesim
 
 import (
-	"baldur/internal/sim"
 	"baldur/internal/telemetry"
 )
 
@@ -35,22 +34,4 @@ func (c *Circuit) AttachTelemetry(tel *telemetry.Telemetry) {
 		lit.Set(n)
 		nodes.Set(uint64(len(c.nodes)))
 	})
-}
-
-// RunSampled drives the circuit to the deadline in telemetry-interval
-// slices, taking one sample per boundary plus a final one at the deadline.
-// With a nil tel it is equivalent to Run.
-func (c *Circuit) RunSampled(until Fs, tel *telemetry.Telemetry) {
-	if tel == nil {
-		c.Run(until)
-		return
-	}
-	iv := tel.Interval()
-	end := sim.Time(until)
-	for t := c.eng.Now().Add(iv); t < end; t = t.Add(iv) {
-		c.eng.RunUntil(t)
-		tel.Sample(t, c.eng.Executed, 0)
-	}
-	c.eng.RunUntil(end)
-	tel.Sample(end, c.eng.Executed, 0)
 }

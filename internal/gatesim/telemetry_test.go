@@ -23,7 +23,7 @@ func TestCircuitTelemetry(t *testing.T) {
 	}, 1)
 	c.AttachTelemetry(tel)
 	c.PlaySignal(in, pulseAt(10000, 5000))
-	c.RunSampled(100000, tel)
+	c.RunSliced(100000, tel, nil)
 
 	// The input's 2 edges plus the output's fall and rise. The output's
 	// initial dark→high transition happens at construction time, before

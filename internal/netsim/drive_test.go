@@ -69,15 +69,18 @@ func (f *fakeScript) ApplyDue(_ Network, now sim.Time, _ *telemetry.Telemetry) (
 	return n, nil
 }
 
-// boundaries records every Observe call.
+// boundaries records every Observe call and asks to stop once it has seen
+// stopAfter boundaries (0: never).
 type boundaries struct {
-	at      []sim.Time
-	drained []bool
+	at        []sim.Time
+	drained   []bool
+	stopAfter int
 }
 
-func (b *boundaries) observe(at sim.Time, drained bool) {
+func (b *boundaries) observe(at sim.Time, drained bool) bool {
 	b.at = append(b.at, at)
 	b.drained = append(b.drained, drained)
+	return len(b.at) == b.stopAfter
 }
 
 // TestDriveNoHooksIsOneRun: with no hooks Drive is a single Run, so the
@@ -156,5 +159,30 @@ func TestDriveStopsOnDrain(t *testing.T) {
 	}
 	if got := aud.Checkpoints(); got != 2 {
 		t.Errorf("%d checkpoints after a drain at the second boundary, want 2", got)
+	}
+}
+
+// TestDriveStopsWhenObserveAsks: an Observe that returns true ends the run
+// at that boundary with the queued work reported, before the boundary's due
+// script actions apply.
+func TestDriveStopsWhenObserveAsks(t *testing.T) {
+	n := newBusyNet(us(100))
+	script := &fakeScript{events: []sim.Time{us(20)}}
+	b := boundaries{stopAfter: 2}
+	more, err := Drive(n, sim.Time(sim.Millisecond), DriveOptions{Interval: 10 * sim.Microsecond, Script: script, Observe: b.observe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !more {
+		t.Error("stopped run reported drained")
+	}
+	if want := []sim.Time{us(10), us(20)}; !reflect.DeepEqual(b.at, want) {
+		t.Errorf("boundaries = %v, want %v", b.at, want)
+	}
+	if n.eng.Now() != us(20) {
+		t.Errorf("clock = %v after stopping at 20us", n.eng.Now())
+	}
+	if len(script.applied) != 0 {
+		t.Errorf("actions applied at %v after Observe stopped the run", script.applied)
 	}
 }

@@ -262,8 +262,9 @@ type DriveOptions struct {
 	// and applies due actions after the boundary's hooks ran.
 	Script Script
 	// Observe, when non-nil, is called at every boundary after the network
-	// ran to it (and before the boundary's due script actions apply).
-	Observe func(at sim.Time, drained bool)
+	// ran to it (and before the boundary's due script actions apply). When
+	// it returns true the run stops at that boundary.
+	Observe func(at sim.Time, drained bool) (stop bool)
 }
 
 // Drive runs n to the deadline and reports whether events remain queued.
@@ -272,7 +273,8 @@ type DriveOptions struct {
 // past the current time), pulled in to the script's next action time when
 // that comes sooner, and clamped to the deadline. At each boundary it
 // samples telemetry, checkpoints the auditor, calls Observe and applies the
-// script's due actions, in that order. Every boundary is a full barrier of
+// script's due actions, in that order; an Observe that asks to stop ends the
+// run there, before the actions apply. Every boundary is a full barrier of
 // the sharded engine at a time that does not depend on the shard count, so
 // hooked runs stay bit-identical for any K. A run that drains with no
 // script actions left stops at that boundary: every remaining slice would
@@ -321,8 +323,8 @@ func Drive(n Network, deadline sim.Time, opts DriveOptions) (more bool, err erro
 		if opts.Aud != nil {
 			opts.Aud.Checkpoint(t, drained)
 		}
-		if opts.Observe != nil {
-			opts.Observe(t, drained)
+		if opts.Observe != nil && opts.Observe(t, drained) {
+			return more, nil
 		}
 		if opts.Script != nil {
 			if applied, err = opts.Script.ApplyDue(n, t, opts.Tel); err != nil {

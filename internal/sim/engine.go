@@ -29,7 +29,6 @@ type Engine struct {
 	seq    uint64
 	ats    []int64 // heap keys: timestamps, ordered by the 4-ary heap
 	ents   []entry // parallel payloads: FIFO sequence + event
-	halted bool
 	fnFree *funcEvent
 
 	// Tie group being dispatched: entries sharing one timestamp, sorted
@@ -166,9 +165,6 @@ func (e *Engine) After(d Duration, fn func()) {
 	e.At(e.now.Add(d), fn)
 }
 
-// Halt stops the run loop after the currently executing event returns.
-func (e *Engine) Halt() { e.halted = true }
-
 // peekAt returns the earliest pending timestamp; callers check Pending()>0.
 func (e *Engine) peekAt() Time {
 	if e.bi < len(e.batch) {
@@ -213,11 +209,10 @@ func (e *Engine) next() (Time, Event) {
 	return Time(at), ev
 }
 
-// Run dispatches events until the queue drains or Halt is called. It returns
-// the final virtual time.
+// Run dispatches events until the queue drains. It returns the final virtual
+// time.
 func (e *Engine) Run() Time {
-	e.halted = false
-	for e.Pending() > 0 && !e.halted {
+	for e.Pending() > 0 {
 		at, ev := e.next()
 		e.now = at
 		e.Executed++
@@ -231,8 +226,7 @@ func (e *Engine) Run() Time {
 // events queued, and advances the clock to exactly the deadline. It returns
 // true if the queue still holds events (i.e. the simulation was cut short).
 func (e *Engine) RunUntil(deadline Time) bool {
-	e.halted = false
-	for e.Pending() > 0 && !e.halted {
+	for e.Pending() > 0 {
 		if e.peekAt() > deadline {
 			e.now = deadline
 			return true
@@ -255,8 +249,7 @@ func (e *Engine) RunUntil(deadline Time) bool {
 // clock advance (AdvanceTo) so a shard that goes idle mid-epoch can still
 // accept mailbox deliveries timestamped inside the epoch.
 func (e *Engine) RunBefore(end Time) {
-	e.halted = false
-	for e.Pending() > 0 && !e.halted {
+	for e.Pending() > 0 {
 		if e.peekAt() >= end {
 			return
 		}

@@ -78,26 +78,6 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 	e.After(-1, func() {})
 }
 
-func TestEngineHalt(t *testing.T) {
-	e := NewEngine()
-	var count int
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i), func() {
-			count++
-			if count == 5 {
-				e.Halt()
-			}
-		})
-	}
-	e.Run()
-	if count != 5 {
-		t.Errorf("count = %d, want 5 (halt ignored)", count)
-	}
-	if e.Pending() != 5 {
-		t.Errorf("pending = %d, want 5", e.Pending())
-	}
-}
-
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var count int

@@ -14,11 +14,11 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"baldur/internal/netsim"
 	"baldur/internal/sim"
-	"baldur/internal/telemetry"
 )
 
 // OpKind enumerates trace operations.
@@ -113,13 +113,14 @@ func (w *Workload) TotalMessages() int {
 
 // Stats reports the outcome of a replay.
 type Stats struct {
-	Makespan  sim.Duration // virtual time until the last rank finished
+	Makespan  sim.Duration // virtual time until the last rank finished (0 unless Completed)
 	Packets   uint64       // data packets injected
 	Completed bool         // all ranks ran their program to the end
-	// Stuck is non-nil when the replay did not complete: either the
+	// Stuck is non-nil when the replay stopped making progress: either the
 	// watchdog tripped (events kept executing but no rank advanced for a
 	// full window) or the engine drained with ranks still blocked
 	// (deadlock). It names the blocked ranks and their pending Recv peers.
+	// A run cut at a deadline with work still queued has no report.
 	Stuck *StuckReport
 }
 
@@ -177,17 +178,16 @@ type rankState struct {
 	done    bool
 }
 
-// Replayer executes a workload on a network.
+// Replayer executes a workload on a network. It is driven from outside:
+// Start schedules the ranks, netsim.Drive runs the network with Watch as its
+// boundary hook, and Stats reports the outcome. Run does all three.
 type Replayer struct {
 	// Watchdog, when > 0, is the progress-watchdog window: if events keep
 	// executing but no rank advances its program counter for this much
 	// simulated time, the replay stops and Stats.Stuck reports the blocked
 	// ranks and their pending Recv peers instead of spinning silently.
+	// Watch checks it at run boundaries, so it trips at slice granularity.
 	Watchdog sim.Duration
-	// Tel, when non-nil, receives one metric sample per telemetry interval
-	// while the replay runs (trace replays are serial, so sampling here is
-	// a plain interval loop rather than a shard barrier).
-	Tel *telemetry.Telemetry
 
 	net      netsim.Network
 	w        *Workload
@@ -195,6 +195,11 @@ type Replayer struct {
 	stats    Stats
 	alive    int
 	progress uint64 // counts rank program-counter advances
+
+	// Watchdog state: progress and events seen at the previous boundary,
+	// and where the current no-progress window began.
+	lastProg, lastEvents uint64
+	windowAt             sim.Time
 }
 
 // NewReplayer wires a replayer to the network. The workload's node count
@@ -217,104 +222,59 @@ func NewReplayer(net netsim.Network, w *Workload) (*Replayer, error) {
 	return r, nil
 }
 
-// Run replays the workload to completion and returns the statistics. It
-// drives the network's engine, so attach collectors beforehand.
+// Run replays the workload to completion, or until the watchdog trips, and
+// returns the statistics. It drives the network's engine, so attach
+// collectors beforehand.
 func (r *Replayer) Run() Stats {
+	r.Start()
+	// Drive fails only on a fault script's error; this run has none.
+	more, _ := netsim.Drive(r.net, sim.Time(math.MaxInt64), netsim.DriveOptions{Observe: r.Watch})
+	return r.Stats(more)
+}
+
+// Start schedules every rank's first step at the current time.
+func (r *Replayer) Start() {
 	eng := r.net.Engine()
+	r.windowAt, r.lastEvents = eng.Now(), netsim.Events(r.net)
 	eng.At(eng.Now(), func() {
 		for rank := range r.ranks {
 			r.step(rank)
 		}
 	})
-	if r.Watchdog > 0 || r.Tel != nil {
-		r.runWatched(eng)
-	} else {
-		eng.Run()
-	}
-	r.stats.Makespan = eng.Now().Sub(0)
-	r.stats.Completed = r.alive == 0
-	if !r.stats.Completed && r.stats.Stuck == nil {
-		// The engine drained with ranks still blocked: a deadlock (e.g. a
-		// lossy run that exhausted retransmissions, or a circular Recv).
-		r.stats.Stuck = r.stuckReport(eng.Now(), 0, true)
-	}
-	return r.stats
 }
 
-// runWatched drives the engine in bounded slices so the replay can take
-// telemetry samples and check the progress watchdog at virtual-time
-// boundaries. Slices use RunBefore, which leaves the clock at the last
-// dispatched event, so Makespan is identical to a plain Run.
-func (r *Replayer) runWatched(eng *sim.Engine) {
-	var iv sim.Duration
-	nextSample := sim.Time(0)
-	lastSampleAt := sim.Time(-1)
-	if r.Tel != nil {
-		iv = r.Tel.Interval()
-		nextSample = eng.Now().Add(iv)
+// Watch is the progress watchdog, a netsim.DriveOptions.Observe hook called
+// at every run boundary. A boundary restarts the no-progress window when
+// some rank advanced or no event ran since the previous boundary (an idle
+// gap, such as a long compute op). Once the window reaches Watchdog, Watch
+// records a stuck report and returns true to stop the run — but never on a
+// drained run, which Stats reports as a deadlock.
+func (r *Replayer) Watch(at sim.Time, drained bool) (stop bool) {
+	ev := netsim.Events(r.net)
+	idle := ev == r.lastEvents
+	r.lastEvents = ev
+	if r.progress != r.lastProg || idle {
+		r.lastProg, r.windowAt = r.progress, at
+		return false
 	}
-	// The loop samples only at interval boundaries; deliveries between the
-	// last boundary and the drain (or the watchdog trip) still need a row.
-	defer func() {
-		if iv > 0 && eng.Now() > lastSampleAt {
-			r.Tel.Sample(eng.Now(), eng.Executed, 0)
-		}
-	}()
-	lastProg := r.progress
-	lastProgAt := eng.Now() // start of the current no-progress window
-	lastProgExec := eng.Executed
-	for eng.Pending() > 0 {
-		// The next boundary: the earlier of the sample tick and the
-		// watchdog checkpoint.
-		b := sim.Time(0)
-		set := false
-		if iv > 0 {
-			b, set = nextSample, true
-		}
-		if r.Watchdog > 0 {
-			if c := lastProgAt.Add(r.Watchdog); !set || c < b {
-				b, set = c, true
-			}
-		}
-		if !set {
-			eng.Run()
-			return
-		}
-		eng.RunBefore(b + 1) // inclusive of events exactly at b
-		if iv > 0 && b == nextSample {
-			r.Tel.Sample(nextSample, eng.Executed, 0)
-			lastSampleAt = nextSample
-			nextSample = nextSample.Add(iv)
-		}
-		if r.Watchdog <= 0 {
-			continue
-		}
-		switch {
-		case r.progress != lastProg:
-			// Some rank advanced inside the slice; restart the window at
-			// the boundary (conservative: the advance happened at or
-			// before b).
-			lastProg, lastProgAt, lastProgExec = r.progress, b, eng.Executed
-		case eng.Executed == lastProgExec:
-			// Nothing even executed — an idle gap (e.g. a long compute op
-			// with its wakeup far in the future). Not stuck: fast-forward
-			// the window to the next pending event.
-			if eng.Pending() > 0 && eng.NextTime() > lastProgAt {
-				lastProgAt = eng.NextTime()
-			}
-		case b >= lastProgAt.Add(r.Watchdog):
-			// Events kept executing for a full window with no rank
-			// advancing: the replay is spinning (e.g. endless
-			// retransmissions into a faulty fabric). Diagnose and stop —
-			// unless the engine drained inside the slice, which is a
-			// deadlock and is reported by Run after the loop exits.
-			if eng.Pending() == 0 {
-				continue
-			}
-			r.stats.Stuck = r.stuckReport(eng.Now(), r.Watchdog, false)
-			return
-		}
+	if r.Watchdog <= 0 || drained || at.Sub(r.windowAt) < r.Watchdog {
+		return false
 	}
+	r.stats.Stuck = r.stuckReport(at, r.Watchdog, false)
+	return true
+}
+
+// Stats returns the outcome of the replay once its run stopped; more is
+// whether events were still queued (what netsim.Drive returned). A run that
+// drained with ranks still blocked is a deadlock (e.g. a lossy run that
+// exhausted retransmissions, or a circular Recv); one stopped with work
+// queued — by the watchdog or a deadline — is not.
+func (r *Replayer) Stats(more bool) Stats {
+	r.stats.Completed = r.alive == 0
+	if !r.stats.Completed && !more && r.stats.Stuck == nil {
+		r.stats.Stuck = r.stuckReport(r.net.Engine().Now(), 0, true)
+	}
+	return r.stats
 }
 
 // stuckReport snapshots every unfinished rank.
@@ -344,6 +304,9 @@ func (r *Replayer) step(rank int) {
 			st.done = true
 			r.alive--
 			r.progress++
+			if r.alive == 0 {
+				r.stats.Makespan = r.net.Engine().Now().Sub(0)
+			}
 			return
 		}
 		op := prog[st.pc]

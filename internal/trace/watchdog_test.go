@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"baldur/internal/core"
+	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
 )
@@ -155,14 +156,15 @@ func TestWatchdogDoesNotTripOnComputeGaps(t *testing.T) {
 	}
 }
 
-// TestReplayTelemetrySampling attaches a telemetry layer to a replay and
-// checks that interval samples are taken and the delivered counter sums to
-// the packet count, without perturbing the makespan.
+// TestReplayTelemetrySampling drives a replay through netsim.Drive with a
+// telemetry layer attached and checks that interval samples are taken and
+// the delivered counter sums to the packet count, without perturbing the
+// makespan.
 func TestReplayTelemetrySampling(t *testing.T) {
-	mk := func(tel *telemetry.Telemetry) (*Replayer, error) {
+	mk := func(tel *telemetry.Telemetry) (*Replayer, netsim.Network, error) {
 		n, err := core.New(core.Config{Nodes: 4, Multiplicity: 2, Seed: 1})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if tel != nil {
 			n.AttachTelemetry(tel)
@@ -174,24 +176,25 @@ func TestReplayTelemetrySampling(t *testing.T) {
 				{{Kind: OpRecv, Peer: 0, Bytes: 512}, {Kind: OpRecv, Peer: 0, Bytes: 512}},
 			},
 		})
-		if err != nil {
-			return nil, err
-		}
-		r.Tel = tel
-		return r, nil
+		return r, n, err
 	}
-	plain, err := mk(nil)
+	plain, _, err := mk(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := plain.Run()
 
 	tel := telemetry.New(telemetry.Options{SampleInterval: 5 * sim.Microsecond}, 1)
-	watched, err := mk(tel)
+	watched, n, err := mk(tel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := watched.Run()
+	watched.Start()
+	more, err := netsim.Drive(n, sim.Time(sim.Second), netsim.DriveOptions{Tel: tel, Observe: watched.Watch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := watched.Stats(more)
 	if !st.Completed {
 		t.Fatalf("sampled replay did not complete: %+v", st.Stuck)
 	}
@@ -208,5 +211,44 @@ func TestReplayTelemetrySampling(t *testing.T) {
 	}
 	if sum != st.Packets {
 		t.Errorf("sampled delivered sum = %d, want %d packets", sum, st.Packets)
+	}
+}
+
+// TestReplayCutAtDeadlineIsNotDeadlock stops a replay at a deadline while
+// its compute gap still has the second send queued: the run reports work
+// remaining, and the replay is incomplete but not diagnosed as a drained
+// deadlock.
+func TestReplayCutAtDeadlineIsNotDeadlock(t *testing.T) {
+	n, err := core.New(core.Config{Nodes: 4, Multiplicity: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReplayer(n, &Workload{
+		Name: "cut",
+		Programs: []Program{
+			{{Kind: OpSend, Peer: 1, Bytes: 512}, {Kind: OpCompute, Dur: 100 * sim.Microsecond}, {Kind: OpSend, Peer: 1, Bytes: 512}},
+			{{Kind: OpRecv, Peer: 0, Bytes: 512}, {Kind: OpRecv, Peer: 0, Bytes: 512}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	more, err := netsim.Drive(n, sim.Time(20*sim.Microsecond), netsim.DriveOptions{Observe: r.Watch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !more {
+		t.Fatal("run cut at the deadline reported no queued work")
+	}
+	st := r.Stats(more)
+	if st.Completed {
+		t.Error("replay cut mid-compute reported completion")
+	}
+	if st.Stuck != nil && st.Stuck.Deadlock {
+		t.Errorf("deadline cut misreported as a deadlock: %s", st.Stuck)
+	}
+	if st.Makespan != 0 {
+		t.Errorf("makespan = %v for an incomplete replay", st.Makespan)
 	}
 }
